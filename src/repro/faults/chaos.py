@@ -636,12 +636,12 @@ def replica_kill(seed: int, workdir: Path) -> list[dict]:
     requests over to the ring successor, the coordinator restarts the
     victim within its budget, the health lattice readmits it, and the
     request journal proves every request got exactly one response."""
-    import json as _json
     import threading
     import urllib.request
 
     from ..core.zoo import save_model
     from ..fleet import Coordinator, Gateway, HealthPolicy, ReplicaSpec
+    from ..serve import wire
 
     checks = []
     ckpt = workdir / "model.npz"
@@ -669,9 +669,8 @@ def replica_kill(seed: int, workdir: Path) -> list[dict]:
     done: list[dict] = []
 
     def send(i: int) -> dict:
-        body = _json.dumps({"model": "tiny",
-                            "window": _fleet_window(seed, i).tolist(),
-                            "mode": "fno", "cycles": 1}).encode()
+        body = wire.dumps({"model": "tiny", "window": _fleet_window(seed, i),
+                           "mode": "fno", "cycles": 1})
         req = urllib.request.Request(
             gateway.base_url() + "/predict", data=body, method="POST",
             headers={"Content-Type": "application/json",
@@ -680,10 +679,11 @@ def replica_kill(seed: int, workdir: Path) -> list[dict]:
         )
         try:
             with urllib.request.urlopen(req, timeout=120.0) as resp:
-                payload = _json.loads(resp.read())
+                payload = wire.loads(resp.read())
+                # float64 decode: a null (non-finite) entry reads as NaN.
+                velocity = np.asarray(payload.get("velocity"), dtype=np.float64)
                 return {"i": i, "status": resp.status,
-                        "finite": bool(np.all(np.isfinite(
-                            np.asarray(payload.get("velocity")))))}
+                        "finite": bool(np.all(np.isfinite(velocity)))}
         except Exception as exc:  # any client-visible failure is a loss
             return {"i": i, "status": type(exc).__name__, "finite": False}
 
@@ -782,7 +782,7 @@ def bad_deploy(seed: int, workdir: Path) -> list[dict]:
     spec = ReplicaSpec(checkpoint=str(v1), model_name="tiny", workers=1,
                        default_mode="fno", require_manifest=True,
                        trust=str(policy_path), drain_grace=2.0)
-    probes = [{"model": "tiny", "window": _fleet_window(seed, i).tolist(),
+    probes = [{"model": "tiny", "window": _fleet_window(seed, i),
                "mode": "fno", "cycles": 1} for i in range(2)]
     coordinator = Coordinator(
         spec, n_replicas=2, workdir=workdir / "fleet",

@@ -148,23 +148,25 @@ def _cmd_deploy(args) -> int:
     import urllib.error
     import urllib.request
 
+    from ..serve import wire
+
     if not args.checkpoint:
         print("error: fleet deploy requires --checkpoint", file=sys.stderr)
         return 2
-    body = json.dumps({
+    body = wire.dumps({
         "checkpoint": args.checkpoint,
         "require_manifest": bool(args.require_manifest),
         "canary_threshold": args.canary_threshold,
-    }).encode()
+    })
     req = urllib.request.Request(
         args.gateway.rstrip("/") + "/fleet/deploy", data=body, method="POST",
         headers={"Content-Type": "application/json"},
     )
     try:
         with urllib.request.urlopen(req, timeout=600.0) as resp:
-            report = json.loads(resp.read())
+            report = wire.loads(resp.read())
     except urllib.error.HTTPError as exc:
-        report = json.loads(exc.read() or b"{}")
+        report = wire.loads(exc.read() or b"{}")
     except (OSError, ValueError) as exc:
         print(f"error: cannot reach gateway {args.gateway}: {exc}",
               file=sys.stderr)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..serve import wire
 from ..utils.artifacts import CheckpointError, verify_manifest
 from .gateway import http_get_json, http_transport
 
@@ -57,14 +58,12 @@ def probe_replica(url: str, probes, canary_threshold: float = 0.5,
     replica reports ``status: ok``, and — when trust scoring is active —
     its trust EWMA clears ``canary_threshold``.
     """
-    import json
-
     results = []
     for body in probes:
-        data = json.dumps(body).encode()
+        data = wire.dumps(body)
         try:
             status, _, raw = transport(url + "/predict", data, {})
-            payload = json.loads(raw) if raw else {}
+            payload = wire.loads(raw) if raw else {}
         except (OSError, ValueError) as exc:
             results.append({"ok": False, "error": str(exc)})
             continue

@@ -14,7 +14,10 @@ Routing is three orthogonal pieces, composed in :class:`GatewayRouter`
   ``Retry-After`` into the next attempt's pause via
   :func:`repro.faults.call_with_retry`.
 
-Every request is journaled (``submitted`` → ``responded``/``failed``)
+Bodies the gateway itself writes or reads (``/healthz`` polls, 503s,
+status and deploy admin) use the :mod:`repro.serve.wire` codec; routed
+``/predict`` bodies pass through as raw bytes, never parsed.  Every
+request is journaled (``submitted`` → ``responded``/``failed``)
 in an append-only JSONL :class:`RequestJournal`; the ``replica_kill``
 chaos scenario replays the journal to prove exactly-once response
 semantics across SIGKILLs.  Re-execution on another replica is safe
@@ -38,6 +41,7 @@ from pathlib import Path
 
 from .. import obs
 from ..faults.policy import RetryPolicy, call_with_retry
+from ..serve import wire
 from .hashring import HashRing
 from .health import FleetHealth, HealthPolicy
 
@@ -147,7 +151,7 @@ def http_transport(url: str, body: bytes, headers: dict,
 
 def http_get_json(url: str, timeout: float = 5.0) -> dict:
     with urllib.request.urlopen(url, timeout=timeout) as resp:
-        return json.loads(resp.read())
+        return wire.loads(resp.read())
 
 
 class GatewayRouter:
@@ -254,9 +258,9 @@ class GatewayRouter:
         except ReplicaUnavailable as exc:
             self._m_unrouted.inc()
             self.journal.record("failed", request_id, error=str(exc))
-            payload = json.dumps(
+            payload = wire.dumps(
                 {"error": str(exc), "retry_after_s": exc.retry_after}
-            ).encode()
+            )
             return 503, {"Retry-After": f"{exc.retry_after:g}"}, payload
         self.journal.record("responded", request_id, replica=replica,
                             status=int(status))
@@ -281,6 +285,8 @@ class GatewayRouter:
 class _GatewayHandler(BaseHTTPRequestHandler):
     server_version = "repro-fleet-gateway/1.0"
     protocol_version = "HTTP/1.1"
+    # Small bodies (healthz, 4xx, 503) must not wait on a delayed ACK.
+    disable_nagle_algorithm = True
 
     @property
     def gateway(self) -> "Gateway":
@@ -305,8 +311,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: dict,
                    headers: dict | None = None) -> None:
-        self._send(status, json.dumps(payload).encode(), "application/json",
-                   headers)
+        self._send(status, wire.dumps(payload), "application/json", headers)
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming
         if self.path == "/healthz":
@@ -362,7 +367,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def _deploy(self) -> None:
         length = int(self.headers.get("Content-Length", 0))
         try:
-            body = json.loads(self.rfile.read(length)) if length else {}
+            body = wire.loads(self.rfile.read(length)) if length else {}
             result = self.gateway.deploy(body)
         except (ValueError, KeyError, TypeError) as exc:
             self._send_json(400, {"error": str(exc)})

@@ -13,13 +13,16 @@ JSON-over-HTTP service:
   pieces together (deterministic batch-invariant kernels by default).
 * :func:`make_server`/:func:`serve_forever` — the HTTP front end
   (``/predict``, ``/models``, ``/healthz``, ``/stats``, ``/metrics``).
+* :mod:`~repro.serve.wire` — the RFC 8259 JSON codec (orjson) every
+  HTTP body in serve and fleet goes through.
 
 Telemetry lives in :class:`ServerStats`, which is a thin arrangement of
 :mod:`repro.obs` instruments: ``/stats`` renders the historical JSON
 payload, ``/metrics`` the Prometheus text exposition of the same
 numbers (plus the process-wide obs registry when profiling is on).
 
-Everything is stdlib + numpy; ``repro serve`` is the CLI entry point.
+Everything is stdlib + numpy, plus orjson for the wire; ``repro serve``
+is the CLI entry point.
 """
 
 from .batching import BatchPolicy, BatchQueue, PredictRequest, QueueFullError

@@ -12,7 +12,11 @@ Endpoints::
 
 ``/predict`` bodies carry the initial window as nested JSON lists of
 shape ``(n_in, n_fields, n, n)``; responses return the rolled-out
-snapshots the same way.  When the service carries a
+snapshots the same way.  Every body is RFC 8259 JSON, encoded and
+decoded by :mod:`repro.serve.wire` (orjson): non-finite values go out
+as ``null``, and a request carrying ``NaN``/``Infinity`` tokens is
+answered ``400`` at decode, before admission, so it never reaches a
+worker or a breaker.  When the service carries a
 :class:`~repro.trust.TrustPolicy`, each response additionally includes
 ``diagnostics`` (divergence / PDE residual / spectrum drift at the
 prediction's native dtype and grid), ``uncertainty`` (seeded-ensemble
@@ -27,27 +31,17 @@ connection, all funnelling into the shared micro-batch queue.
 
 from __future__ import annotations
 
-import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-import numpy as np
 
 from ..faults.policy import CircuitOpenError
 from .batching import QueueFullError
 from .registry import ModelNotFound
 from .service import InferenceService, ServiceDraining
+from .wire import dumps, loads
 
 __all__ = ["make_server", "serve_forever"]
 
 _MAX_BODY = 256 * 1024 * 1024
-
-
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 class _ServeHandler(BaseHTTPRequestHandler):
@@ -55,6 +49,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, a small
+    # body waits for the peer's delayed ACK (~40 ms) on kept-alive
+    # connections.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> InferenceService:
@@ -66,7 +64,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
     def _send_json(self, code: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(payload, default=_to_jsonable).encode()
+        body = dumps(payload)
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -89,7 +87,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
             raise ValueError("missing request body")
         if length > _MAX_BODY:
             raise ValueError(f"request body too large ({length} bytes)")
-        return json.loads(self.rfile.read(length))
+        body = loads(self.rfile.read(length))
+        if not isinstance(body, dict):
+            raise ValueError("request body must be a JSON object")
+        return body
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming

@@ -1,29 +1,35 @@
 """Fleet-layer tests: hash ring, health lattice, router, journal, deploys.
 
-Everything here runs without sockets or child processes — the router
-and deploy orchestration take fake transports/coordinators, and the
-state machines take injectable clocks.  The end-to-end story (real
-replicas, real SIGKILL) lives in the ``replica_kill`` / ``bad_deploy``
-chaos scenarios.
+Everything here runs without child processes — the router and deploy
+orchestration take fake transports/coordinators, and the state machines
+take injectable clocks; only the gateway keep-alive test opens a
+loopback socket.  The end-to-end story (real replicas, real SIGKILL)
+lives in the ``replica_kill`` / ``bad_deploy`` chaos scenarios.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import time
 
+import numpy as np
 import pytest
 
 from repro.faults.policy import RetryPolicy, call_with_retry
 from repro.fleet import (
     FleetHealth,
+    Gateway,
     GatewayRouter,
     HashRing,
     HealthPolicy,
     ReplicaSpec,
     RequestJournal,
+    probe_replica,
     rolling_deploy,
 )
 from repro.jobs.supervisor import Heartbeat, HeartbeatReader, read_heartbeat
+from repro.serve import wire
 from repro.utils.artifacts import write_manifest
 
 
@@ -484,6 +490,30 @@ class TestRollingDeploy:
         assert coordinator.actions == [("r0", v2), ("r1", v2), ("r2", v2)]
         assert {spec.checkpoint for spec in coordinator.specs.values()} == {v2}
 
+    def test_null_velocity_fails_the_canary_probe(self):
+        """Non-finite snapshots travel as JSON null; the probe must read
+        them as non-finite even when every other signal looks healthy."""
+        velocity = np.zeros((2, 2, 4, 4))
+        velocity[1, 0, 2, 3] = np.nan
+        raw = wire.dumps({"velocity": velocity})
+        assert b"null" in raw
+
+        def transport(url, body, headers, timeout=None):
+            return 200, {}, raw
+
+        def get_json(url, timeout=None):
+            return {"status": "ok", "trust": {"ewma": 0.95}}
+
+        verdict = probe_replica("http://r0", [{"model": "m", "window": []}],
+                                transport=transport, get_json=get_json)
+        assert not verdict["healthy"]
+        assert verdict["probes"] == [{"ok": False, "status": 200}]
+        finite = wire.dumps({"velocity": np.zeros((2, 2, 4, 4))})
+        verdict = probe_replica("http://r0", [{"model": "m", "window": []}],
+                                transport=lambda *a, **k: (200, {}, finite),
+                                get_json=get_json)
+        assert verdict["healthy"]
+
     def test_legacy_checkpoint_allowed_when_gate_is_off(self, tmp_path):
         v1 = _manifested(tmp_path / "v1.npz")
         legacy = tmp_path / "legacy.npz"
@@ -493,6 +523,31 @@ class TestRollingDeploy:
         report = rolling_deploy(coordinator, legacy, require_manifest=False,
                                 transport=transport, get_json=get_json)
         assert report["ok"]
+
+
+class TestGatewayHTTP:
+    def test_small_keepalive_responses_do_not_wait_for_delayed_ack(self):
+        class _NoReplicas:
+            def urls(self):
+                return {}
+
+        gateway = Gateway(_NoReplicas(), poll_interval=60.0).start()
+        host, port = gateway.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")  # connect + warm up
+            conn.getresponse().read()
+            started = time.perf_counter()
+            for _ in range(5):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert wire.loads(resp.read())["role"] == "gateway"
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+            gateway.stop()
+        assert elapsed < 0.150, f"5 keep-alive /healthz took {elapsed * 1e3:.0f} ms"
 
 
 class TestFleetCliWiring:

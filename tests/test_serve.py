@@ -1,8 +1,10 @@
 """repro.serve: registry caching, micro-batching, determinism, backpressure, HTTP."""
 
+import http.client
 import json
 import os
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -515,6 +517,49 @@ class TestHTTP:
         finally:
             server.shutdown()
             server.server_close()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_token_is_400_before_admission(self, http_service, value):
+        """A body with a NaN token is a bad client, not a replica failure:
+        refused at decode, never submitted, breaker and errors untouched."""
+        svc, base = http_service
+        w = window()
+        w[0, 0, 0, 0] = value
+        body = json.dumps({"model": "tiny", "window": w.tolist(), "mode": "fno"})
+        assert "NaN" in body or "Infinity" in body
+        before = svc.stats_snapshot()["requests"]
+        request = urllib.request.Request(
+            f"{base}/predict", data=body.encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=30)
+        assert err.value.code == 400
+        assert "error" in json.loads(err.value.read())
+        assert svc.breaker.state == "closed"
+        assert svc.stats_snapshot()["requests"] == before
+
+    def test_non_object_body_is_400(self, http_service):
+        _, base = http_service
+        code, body, _ = _post(f"{base}/models/evict", ["tiny"])
+        assert code == 400 and "object" in body["error"]
+
+    def test_small_keepalive_responses_do_not_wait_for_delayed_ack(self, http_service):
+        _, base = http_service
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request("GET", "/healthz")  # connect + warm up
+            conn.getresponse().read()
+            started = time.perf_counter()
+            for _ in range(5):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200 and resp.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.150, f"5 keep-alive /healthz took {elapsed * 1e3:.0f} ms"
 
     def test_unknown_route_404(self, http_service):
         _, base = http_service
