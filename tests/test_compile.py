@@ -148,6 +148,43 @@ class TestArena:
         with pytest.raises(PlanMismatchError):
             plan.execute(x.astype(np.float64))
 
+    @pytest.mark.parametrize("family", ["fno2d", "fno3d"])
+    def test_arena_steps_write_their_own_buffers(self, family):
+        from repro.compile.plan import build_plan
+        from repro.tensor.recording import Recorder
+
+        if family == "fno2d":
+            model = _fno2d(activation="gelu")
+            x = np.random.default_rng(30).standard_normal((2, 3, 16, 16))
+        else:
+            model = FNO3d(2, 2, modes1=3, modes2=3, modes3=2, width=4, n_layers=2,
+                          time_padding=3, rng=np.random.default_rng(31))
+            x = np.random.default_rng(32).standard_normal((1, 2, 12, 12, 6))
+        x = x.astype(np.float32)
+        model.eval()
+        inp = Tensor(x)
+        with no_grad(), Recorder() as recorder:
+            out = model(inp)
+        plan = build_plan(recorder, inp, out)
+        arena_steps = [(i, s) for i, s in enumerate(plan.steps) if s.kind == "arena"]
+        assert arena_steps
+        template = plan._template()
+        buffers = {s.out_slot: template[s.out_slot] for _, s in arena_steps}
+        plan.execute(x)
+        assert plan._template() is template
+        for _, step in arena_steps:
+            assert template[step.out_slot] is buffers[step.out_slot]
+        # Replay step by step: each arena step must leave its output in
+        # its own buffer (an fwd that ignored ``out=`` would leave stale
+        # storage there), equal to the eager op's output.
+        values = template.copy()
+        values[plan.input_slot] = x
+        for i, step in enumerate(plan.steps):
+            step.run(values)
+            if step.kind == "arena":
+                assert values[step.out_slot] is buffers[step.out_slot], step.op
+                assert np.array_equal(values[step.out_slot], recorder.records[i].out.data), step.op
+
     def test_input_not_mutated(self):
         model = _fno2d()
         x = np.random.default_rng(14).standard_normal((1, 3, 16, 16)).astype(np.float32)
@@ -305,3 +342,184 @@ class TestIntegration:
         desc = json.loads(capsys.readouterr().out)
         assert desc["input_shape"] == [1, 2, 16, 16]
         assert any(s["op"] == "spectral_conv2d" for s in desc["steps"])
+
+
+# ---------------------------------------------------------------------------
+# per-op plan ≡ eager, driven by the traced-op registry
+# ---------------------------------------------------------------------------
+
+
+def _registered_ops() -> list[str]:
+    """Every traced primitive (the wrappers carry their op name)."""
+    from repro.tensor import ops
+
+    names = {
+        getattr(value, "__wrapped_op__", None)
+        for module in (ops, fft_ops)
+        for value in vars(module).values()
+    }
+    names.discard(None)
+    return sorted(names)
+
+
+class _OpModule:
+    """A one-op traced "model": ``forward(x) = fn(x)``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def eval(self):
+        return self
+
+    def __call__(self, x):
+        return self.fn(x)
+
+
+_GRID = (2, 4, 8, 8)
+
+
+def _op_cases(dtype) -> dict:
+    """op name -> [(label, input shape, fn(x) -> Tensor)].
+
+    Binary elementwise ops also run with a bare Python scalar on either
+    side (weak-scalar adoption must match eager's dtype rules).
+    """
+    from repro.nn.module import Parameter
+    from repro.tensor import ops
+
+    rng = np.random.default_rng(40)
+
+    def param(*shape):
+        return Parameter(rng.standard_normal(shape).astype(dtype))
+
+    def binary(op, rhs=ops.tanh):
+        return [
+            ("tensor", _GRID, lambda x: op(x, rhs(x))),
+            ("scalar-left", _GRID, lambda x: op(0.75, rhs(x))),
+            ("scalar-right", _GRID, lambda x: op(x, 0.75)),
+        ]
+
+    def unary(op, pre=lambda x: x):
+        return [("tensor", _GRID, lambda x: op(pre(x)))]
+
+    mask = rng.standard_normal(_GRID) > 0
+    const = Tensor(rng.standard_normal((2, 2, 8, 8)).astype(dtype))
+    w_lin, b_lin, w_mat = param(4, 5), param(5), param(8, 3)
+    w1 = (param(4, 3, 5), param(4, 3, 5))
+    w2 = (param(2, 4, 3, 3, 3), param(2, 4, 3, 3, 3))
+    w3 = (param(4, 2, 3, 2, 2, 2), param(4, 2, 3, 2, 2, 2))
+    return {
+        "add": binary(ops.add),
+        "sub": binary(ops.sub),
+        "mul": binary(ops.mul),
+        "div": binary(ops.div, rhs=ops.exp),
+        "maximum": binary(ops.maximum),
+        "minimum": binary(ops.minimum),
+        "where": [
+            ("mask", _GRID, lambda x: ops.where(mask, x, ops.tanh(x))),
+            ("tensor-cond", _GRID, lambda x: ops.where(ops.relu(x), x, ops.sin(x))),
+            ("scalar-left", _GRID, lambda x: ops.where(mask, 0.25, x)),
+            ("scalar-right", _GRID, lambda x: ops.where(mask, x, 0.25)),
+        ],
+        "matmul": [
+            ("param", _GRID, lambda x: ops.matmul(x, w_mat)),
+            ("tensor", _GRID, lambda x: ops.matmul(x, ops.transpose(x, (0, 1, 3, 2)))),
+        ],
+        "dot": [("tensor", _GRID, lambda x: ops.dot(x, ops.tanh(x)))],
+        "neg": unary(ops.neg),
+        "exp": unary(ops.exp),
+        "log": unary(ops.log, pre=ops.exp),
+        "sqrt": unary(ops.sqrt, pre=ops.exp),
+        "tanh": unary(ops.tanh),
+        "sigmoid": unary(ops.sigmoid),
+        "relu": unary(ops.relu),
+        "gelu": unary(ops.gelu),
+        "abs_": unary(ops.abs_),
+        "sin": unary(ops.sin),
+        "cos": unary(ops.cos),
+        "square": unary(ops.square),
+        "pow_": [
+            ("cube", _GRID, lambda x: ops.pow_(x, 3.0)),
+            ("fractional", _GRID, lambda x: ops.pow_(ops.exp(x), 1.5)),
+        ],
+        "clip": [("tensor", _GRID, lambda x: ops.clip(x, -0.5, 0.5))],
+        "channel_linear": [
+            ("bias", _GRID, lambda x: ops.channel_linear(x, w_lin, b_lin)),
+            ("no-bias", _GRID, lambda x: ops.channel_linear(x, w_lin)),
+        ],
+        "reshape": [
+            ("tuple", _GRID, lambda x: ops.reshape(x, (2, -1))),
+            ("method", _GRID, lambda x: x.reshape(2, 4, 64)),
+        ],
+        "transpose": [
+            ("axes", _GRID, lambda x: ops.transpose(x, (0, 2, 1, 3))),
+            ("reverse", _GRID, lambda x: ops.transpose(x)),
+        ],
+        "moveaxis": [("tensor", _GRID, lambda x: ops.moveaxis(x, 1, -1))],
+        "getitem": [("slices", _GRID, lambda x: x[:, 1:3, ::2])],
+        "pad": [
+            ("constant", _GRID, lambda x: ops.pad(x, ((0, 0), (0, 0), (1, 2), (2, 1)), 0.5)),
+        ],
+        "concatenate": [
+            ("tensors", _GRID, lambda x: ops.concatenate([x, ops.tanh(x)], axis=1)),
+            ("constant", _GRID, lambda x: ops.concatenate([x, const], axis=1)),
+        ],
+        "stack": [("tensors", _GRID, lambda x: ops.stack([x, ops.tanh(x)], axis=2))],
+        "roll": [
+            ("int", _GRID, lambda x: ops.roll(x, 2, -1)),
+            ("tuple", _GRID, lambda x: ops.roll(x, (1, 2), (2, 3))),
+        ],
+        "broadcast_to": [("tensor", _GRID, lambda x: ops.broadcast_to(x[:, :1], _GRID))],
+        "sum_": [
+            ("axes", _GRID, lambda x: ops.sum_(x, axis=(2, 3))),
+            ("all", _GRID, lambda x: ops.sum_(x)),
+            ("keepdims", _GRID, lambda x: ops.sum_(x, axis=1, keepdims=True)),
+        ],
+        "mean": [
+            ("axes", _GRID, lambda x: ops.mean(x, axis=(2, 3))),
+            ("all", _GRID, lambda x: ops.mean(x)),
+            ("keepdims", _GRID, lambda x: ops.mean(x, axis=1, keepdims=True)),
+        ],
+        "spectral_conv1d": [
+            ("1d", (2, 4, 16), lambda x: fft_ops.spectral_conv1d(x, *w1, 5)),
+        ],
+        "spectral_conv2d": [
+            ("2d", _GRID, lambda x: fft_ops.spectral_conv2d(x, *w2, 3, 3)),
+        ],
+        "spectral_conv3d": [
+            ("3d", (1, 2, 8, 8, 6), lambda x: fft_ops.spectral_conv3d(x, *w3, 2, 2, 2)),
+        ],
+        "solenoidal_projection_2d": [
+            ("2d", _GRID, lambda x: fft_ops.solenoidal_projection_2d(x)),
+        ],
+        # einsum is traced but deliberately not compilable.
+        "einsum": [("unsupported", _GRID, lambda x: ops.einsum("bchw,cd->bdhw", x, w_lin))],
+    }
+
+
+_SPECTRAL_OPS = {"spectral_conv1d", "spectral_conv2d", "spectral_conv3d",
+                 "solenoidal_projection_2d"}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", _registered_ops())
+def test_each_op_compiles_bitwise(op, dtype):
+    cases = _op_cases(dtype).get(op)
+    assert cases, f"traced op {op!r} has no plan/eager case"
+    for label, shape, fn in cases:
+        x = np.random.default_rng(41).standard_normal(shape).astype(dtype)
+        module = _OpModule(fn)
+        if op == "einsum":
+            with pytest.raises(rc.UnsupportedOpError):
+                rc.trace_model(module, x)
+            continue
+        plan, _ = rc.trace_model(module, x)
+        assert op in [step.op for step in plan.steps], label
+        flags = (False, True) if op in _SPECTRAL_OPS else (False,)
+        for invariant in flags:
+            with fft_ops.batch_invariant_kernels(invariant):
+                eager = _eager(module, x)
+                for _ in range(2):  # second run goes through reused buffers
+                    got = plan.execute(x)
+                    assert got.dtype == eager.dtype, (label, invariant)
+                    assert np.array_equal(got, eager), (label, invariant)
