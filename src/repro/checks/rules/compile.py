@@ -1,12 +1,16 @@
 """RPR009 — allocation hygiene in plan-executed hot paths.
 
 The whole point of :mod:`repro.compile` is that a plan's per-call work
-writes into preallocated arena buffers: the kernel *builder* runs once
-and may allocate freely, but the ``run``/``execute`` closures it returns
-run on every inference request.  A fresh ``np.empty``/``np.zeros`` (or a
-:class:`~repro.tensor.Tensor` construction, which drags autograd tape
-machinery back in) inside one of those closures silently re-introduces
-the per-op allocation the compiler exists to remove.
+writes into preallocated arena buffers: step lowering
+(``compile.plan.lower``) runs once and may allocate freely, but the
+``run``/``execute`` closures it builds run on every inference request.
+A fresh ``np.empty``/``np.zeros`` (or a :class:`~repro.tensor.Tensor`
+construction, which drags autograd tape machinery back in) inside one of
+those closures silently re-introduces the per-op allocation the compiler
+exists to remove.  The op forwards those closures call live in
+:mod:`repro.tensor` and allocate only when no ``out=`` buffer is given;
+the per-op arena test in ``tests/test_compile.py`` checks that every
+arena step writes the buffer it was handed.
 
 Within compile-zone files the rule flags, inside any function named
 ``run`` or ``execute`` (including nested closures):

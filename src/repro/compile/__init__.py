@@ -11,8 +11,10 @@ This package removes it:
   linear op schedule.
 * :mod:`~repro.compile.plan` lowers the schedule into a
   :class:`~repro.compile.plan.CompiledPlan`: buffer-arena liveness
-  assignment plus one ``run`` closure per op from
-  :mod:`~repro.compile.kernels`, bit-for-bit equivalent to eager.
+  assignment plus one ``run`` closure per op, each calling the op's own
+  array-level forward (declared beside the op in
+  :mod:`repro.tensor.ops` / :mod:`repro.tensor.fft_ops`), so a plan is
+  bit-for-bit equivalent to eager by construction.
 * :mod:`~repro.compile.runtime` caches plans per
   ``(model, batch_shape, dtype)`` with eager fallback for anything it
   cannot compile (``repro.compile.forward(model, x) -> array | None``).

@@ -3,26 +3,34 @@
 A :class:`CompiledPlan` is the compiled artifact for one
 ``(model, batch_shape, dtype)``: an ordered list of step closures, a
 buffer :class:`~repro.compile.arena.Arena`, and a slot table mapping every
-traced intermediate to either a preallocated buffer (written with
-``out=``-style kernels) or a transient value produced fresh each call
-(FFT outputs, views).
+traced intermediate to either a preallocated buffer (written through the
+op's ``out=``) or a transient value produced fresh each call (FFT
+outputs, views).
+
+Every step is lowered the same way (:func:`lower`): the op's
+:class:`~repro.tensor.recording.Primitive` names its one array-level
+forward ``fwd`` — the very function the eager op runs on ``.data`` —
+plus the step's output kind, FLOP count and an optional build-time hook.
+There are no per-op kernels to keep in step with the eager ops.
 
 Guarantees:
 
-* **Bitwise equivalence.**  Every kernel replicates the eager op's
-  arithmetic exactly — same ufunc loops, same contraction order, same
-  scalar-promotion rules — so ``plan.execute(x)`` is bit-for-bit equal to
-  the no-grad eager forward (property-tested in ``tests/test_compile.py``).
+* **Bitwise equivalence.**  A step calls the eager op's own ``fwd``
+  with operands resolved by the same weak-scalar rule, so
+  ``plan.execute(x)`` is bit-for-bit equal to the no-grad eager forward
+  (property-tested per op and per model in ``tests/test_compile.py``).
+  The fused spectral ops swap in build-time probed fast transforms,
+  which fall back to eager's on any bitwise mismatch.
 * **No aliasing of user-visible outputs.**  When the final value lives in
   the arena (or is a view of it), :meth:`CompiledPlan.execute` returns a
   copy; arena storage is never handed to callers.
 * **Weight coherence.**  Parameters are captured as *objects*, not
-  arrays: kernels read ``param.data`` at call time, so
+  arrays: steps read ``param.data`` at call time, so
   ``load_state_dict`` (which replaces the data array) takes effect on the
   next execution without retracing.
 
-Ops without a registered kernel (notably ``einsum``, used by DeepONet)
-raise :class:`UnsupportedOpError` at build time; the runtime records the
+Ops without a forward (notably ``einsum``, used by DeepONet) raise
+:class:`UnsupportedOpError` at build time; the runtime records the
 failure and serves those models eagerly forever after.
 """
 
@@ -35,7 +43,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..nn.module import Parameter
-from ..tensor.recording import Recorder
+from ..tensor.recording import PRIMITIVES, Recorder, TraceRecord, weak_pair
 from ..tensor.tensor import Tensor, asarray
 from .arena import Arena
 
@@ -45,6 +53,7 @@ __all__ = [
     "Step",
     "PlanBuilder",
     "CompiledPlan",
+    "lower",
     "build_plan",
 ]
 
@@ -67,11 +76,14 @@ class Step:
     out_shape: tuple[int, ...]
     out_dtype: np.dtype
     flops: int = 0
-    # True when the step writes a fresh per-call allocation (safe to hand
-    # to the caller); False for arena-backed outputs and views.
-    fresh: bool = False
-    kind: str = "transient"
+    kind: str = "transient"  # a Primitive kind: arena, view, transient, spectral
     alloc_bytes: int = 0
+
+    @property
+    def fresh(self) -> bool:
+        """The step writes a fresh per-call allocation (safe to hand to
+        the caller); arena-backed outputs and views are not."""
+        return self.kind in ("transient", "spectral")
 
 
 @dataclass
@@ -84,13 +96,15 @@ class _ArenaRequest:
 
 
 class PlanBuilder:
-    """Mutable state threaded through the kernel builders.
+    """Mutable state threaded through step lowering.
 
-    Kernel builders use three services: :meth:`getter` (resolve an op
-    argument to a ``values``-list accessor, registering the read for
-    liveness), :meth:`request_arena` (claim a preallocated buffer for a
-    slot), and :meth:`scratch_slot` (a hidden arena slot not tied to any
-    traced tensor, e.g. the zero-initialised spectral mode buffer).
+    Lowering and the ops' build-time hooks use a few services:
+    :meth:`getter` (resolve an op argument to a ``values``-list accessor,
+    registering the read for liveness), :meth:`constant`,
+    :meth:`is_constant`, :meth:`request_arena` (claim a preallocated
+    buffer for a slot), and :meth:`scratch` (a hidden pinned arena slot
+    not tied to any traced tensor, e.g. the zero-initialised spectral
+    mode buffer).
     """
 
     def __init__(self, recorder: Recorder, input_tensor: Tensor):
@@ -146,7 +160,25 @@ class PlanBuilder:
                     "(e.g. Tensor.astype); cannot freeze it as a plan constant"
                 )
             return _const_getter(value.data)
+        if value is None:  # an absent optional operand (e.g. no bias)
+            return _const_getter(None)
+        if isinstance(value, (list, tuple)):
+            gets = [self.getter(v) for v in value]
+            return lambda values: [get(values) for get in gets]
         return _const_getter(asarray(value))
+
+    def constant(self, value: Any) -> Callable[[list], Any]:
+        """An accessor for a build-time value, passed through unchanged."""
+        return _const_getter(value)
+
+    def is_constant(self, value: Any) -> bool:
+        """Whether an operand is the same array on every execution.
+
+        True for tensors that are neither traced intermediates nor live
+        parameters (e.g. a model's cached coordinate grid).
+        """
+        return (isinstance(value, Tensor) and self.slot_for(value) is None
+                and not isinstance(value, Parameter))
 
     # -- arena ---------------------------------------------------------
     def request_arena(self, slot, shape, dtype, init=None, reusable: bool = True) -> None:
@@ -154,10 +186,11 @@ class PlanBuilder:
             _ArenaRequest(slot, tuple(shape), np.dtype(dtype), init, reusable)
         )
 
-    def scratch_slot(self, shape, dtype, init=None, reusable: bool = False) -> int:
+    def scratch(self, shape, dtype, init=None) -> Callable[[list], np.ndarray]:
+        """A pinned per-thread scratch buffer; returns its accessor."""
         slot = self.new_slot()
-        self.request_arena(slot, shape, dtype, init=init, reusable=reusable)
-        return slot
+        self.request_arena(slot, shape, dtype, init=init, reusable=False)
+        return _slot_getter(slot)
 
     # -- step assembly (called by build_plan) --------------------------
     def begin_step(self) -> None:
@@ -191,6 +224,48 @@ def _const_getter(arr: np.ndarray) -> Callable[[list], np.ndarray]:
     return get
 
 
+def lower(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
+    """Lower one traced op to a step that calls the op's own ``fwd``.
+
+    Operands (the first ``n_in`` arguments, after weak-scalar adoption)
+    become slot, parameter or constant reads; the remaining arguments
+    pass through unchanged.  An arena-kind step hands ``fwd`` its buffer
+    as ``out=``; view and fresh steps store what ``fwd`` returns.
+    """
+    prim = PRIMITIVES.get(rec.op)
+    if prim is None or prim.fwd is None:
+        raise UnsupportedOpError(f"op {rec.op!r} is not supported by the compiler")
+    shape, dtype = tuple(rec.out.data.shape), rec.out.data.dtype
+    args = list(rec.args)
+    if prim.weak is not None:
+        i, j = prim.weak
+        args[i], args[j] = weak_pair(args[i], args[j])
+    getters = [b.getter(arg) for arg in args[:prim.n_in]]
+    statics = args[prim.n_in:]
+    init, kw_getters = prim.plan(b, args, getters, shape, dtype) if prim.plan else (None, {})
+    if prim.kind == "arena":
+        # Pinned when the hook pre-fills a constant region (pad margin,
+        # concatenated grid): reuse would clobber it.
+        b.request_arena(out_slot, shape, dtype, init=init, reusable=init is None)
+        kw_getters = {**kw_getters, "out": _slot_getter(out_slot)}
+    elif prim.kind == "view" and isinstance(args[0], Tensor):
+        src_slot = b.slot_for(args[0])
+        if src_slot is not None:
+            b.mark_view(out_slot, src_slot)
+    fwd, keywords = prim.fwd, tuple(kw_getters.items())
+    store = prim.kind != "arena"  # arena steps write through ``out=``
+
+    def run(values: list) -> None:
+        out = fwd(*[get(values) for get in getters], *statics,
+                  **{key: get(values) for key, get in keywords})
+        if store:
+            values[out_slot] = out
+
+    flops = prim.flops(args, shape) if callable(prim.flops) else (
+        prim.flops * int(np.prod(shape, dtype=np.int64)))
+    return Step(rec.op, run, out_slot, shape, dtype, flops=int(flops), kind=prim.kind)
+
+
 def build_plan(
     recorder: Recorder,
     input_tensor: Tensor,
@@ -198,20 +273,14 @@ def build_plan(
     model_name: str = "model",
 ) -> "CompiledPlan":
     """Lower a recorded schedule into a :class:`CompiledPlan`."""
-    from .kernels import KERNELS  # late import: kernels imports this module
-
     if not recorder.records:
         raise UnsupportedOpError("trace recorded no ops (nothing to compile)")
 
     builder = PlanBuilder(recorder, input_tensor)
     for rec in recorder.records:
-        build = KERNELS.get(rec.op)
-        if build is None:
-            raise UnsupportedOpError(f"op {rec.op!r} has no compiled kernel")
         out_slot = builder.new_slot(rec.out)
         builder.begin_step()
-        step = build(builder, rec, out_slot)
-        builder.end_step(step)
+        builder.end_step(lower(builder, rec, out_slot))
 
     output_slot = builder.slot_for(output_tensor)
     if output_slot is None:

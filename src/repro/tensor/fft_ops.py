@@ -28,9 +28,13 @@ in ``tests/test_fft_ops.py``.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import os
 import threading
 from contextlib import contextmanager
+from typing import Callable
 
 import numpy as np
 
@@ -38,8 +42,10 @@ import numpy as np
 # input to complex128), which matters for float32 serving throughput.
 from scipy import fft as _fft
 
-from .recording import traced as _traced
+from .recording import primitive
 from .tensor import Tensor
+
+_SCIPY_FFT = _fft  # the obs hooks swap ``_fft`` for a counting proxy
 
 __all__ = [
     "half_spectrum_weights",
@@ -49,6 +55,7 @@ __all__ = [
     "spectral_conv2d",
     "spectral_conv3d",
     "solenoidal_projection_2d",
+    "mode_blocks",
     "mode_blocks_2d",
     "mode_blocks_3d",
     "batch_invariant_kernels",
@@ -74,8 +81,8 @@ def _parse_fft_workers(raw: str | None) -> int | None:
 
 
 # Passed as ``workers=`` to every pocketfft call below — by the eager ops,
-# their adjoints, and the compiled kernels in repro.compile, so the two
-# execution paths always run the same FFT configuration.
+# their adjoints, and compiled plans, so the two execution paths always
+# run the same FFT configuration.
 _FFT_WORKERS: int | None = _parse_fft_workers(os.environ.get("REPRO_FFT_WORKERS"))
 
 
@@ -88,7 +95,8 @@ def set_fft_workers(workers: int | None) -> None:
     """Override the worker count (None restores scipy's default).
 
     Process-wide; compiled plans pick the new value up on their next
-    execution because kernels read this module's state at call time.
+    execution because their transforms read this module's state at call
+    time.
     """
     global _FFT_WORKERS
     _FFT_WORKERS = None if workers is None else max(1, int(workers))
@@ -178,36 +186,271 @@ def rfftn_adjoint(G: np.ndarray, axes: tuple[int, ...], s: tuple[int, ...]) -> n
     return n_total * _fft.irfftn(G / w, s=s, axes=axes, workers=_FFT_WORKERS)
 
 
-def mode_blocks_2d(n1: int, modes1: int, modes2: int) -> list[tuple[slice, slice]]:
-    """Corner index blocks retained by a 2-D spectral convolution.
+def mode_blocks(spatial, modes) -> list[tuple[slice, ...]]:
+    """Corner index blocks retained by an N-d spectral convolution.
 
-    Block 0 holds non-negative ``k1`` rows, block 1 the negative ``k1``
-    rows; ``k2`` (the half axis) is always ``[0, modes2)``.
+    Every axis but the last keeps its ``modes`` lowest non-negative and
+    negative frequencies; the last (half-spectrum) axis keeps
+    ``[0, modes[-1])``.  Blocks enumerate the corners with the first axis
+    varying fastest: in 2-D, block 0 holds the non-negative ``k1`` rows
+    and block 1 the negative ones.  The 1-D layer has a single block.
     """
-    if 2 * modes1 > n1:
-        raise ValueError(f"modes1={modes1} too large for grid size {n1} (need 2*modes1 <= n1)")
-    return [
-        (slice(0, modes1), slice(0, modes2)),
-        (slice(n1 - modes1, n1), slice(0, modes2)),
-    ]
+    corners = []
+    for axis, (n, m) in enumerate(zip(spatial[:-1], modes[:-1]), start=1):
+        if 2 * m > n:
+            raise ValueError(f"modes{axis}={m} too large for axis length {n} (need 2*modes{axis} <= {n})")
+        corners.append((slice(0, m), slice(n - m, n)))
+    last = slice(0, modes[-1])
+    return [(*reversed(corner), last) for corner in itertools.product(*reversed(corners))]
+
+
+def mode_blocks_2d(n1: int, modes1: int, modes2: int) -> list[tuple[slice, slice]]:
+    """:func:`mode_blocks` of a 2-D layer (2 blocks)."""
+    return mode_blocks((n1, None), (modes1, modes2))
 
 
 def mode_blocks_3d(n1: int, n2: int, modes1: int, modes2: int, modes3: int) -> list[tuple[slice, slice, slice]]:
-    """Corner index blocks retained by a 3-D spectral convolution (4 blocks)."""
-    if 2 * modes1 > n1:
-        raise ValueError(f"modes1={modes1} too large for axis length {n1}")
-    if 2 * modes2 > n2:
-        raise ValueError(f"modes2={modes2} too large for axis length {n2}")
-    k3 = slice(0, modes3)
-    pos1, neg1 = slice(0, modes1), slice(n1 - modes1, n1)
-    pos2, neg2 = slice(0, modes2), slice(n2 - modes2, n2)
-    return [(pos1, pos2, k3), (neg1, pos2, k3), (pos1, neg2, k3), (neg1, neg2, k3)]
+    """:func:`mode_blocks` of a 3-D layer (4 blocks)."""
+    return mode_blocks((n1, n2, None), (modes1, modes2, modes3))
 
 
-def _complex_weights(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
-    return wr + 1j * wi
+def _complex_dtype(dtype) -> type:
+    return np.complex64 if dtype == np.float32 else np.complex128
 
 
+def _subscripts(ndim: int) -> tuple[str, str, str]:
+    """Einsum subscripts: forward mix, weight cotangent, input cotangent."""
+    k = "xyz"[:ndim]
+    return f"bi{k},io{k}->bo{k}", f"bo{k},bi{k}->io{k}", f"bo{k},io{k}->bi{k}"
+
+
+def _scipy_transforms(axes, s):
+    """``(rfftn, irfftn)`` through the scipy wrappers (resolved per call,
+    so the obs FFT-counting hooks see them)."""
+    def rfftn(a: np.ndarray) -> np.ndarray:
+        return _fft.rfftn(a, axes=axes, workers=_FFT_WORKERS)
+
+    def irfftn(a: np.ndarray) -> np.ndarray:
+        return _fft.irfftn(a, s=s, axes=axes, workers=_FFT_WORKERS)
+
+    return rfftn, irfftn
+
+
+def _mode_contraction(subscripts: str, x_shape, w_shape, ctype) -> Callable:
+    """A call-time replayer for :func:`_mode_einsum` at fixed shapes.
+
+    ``np.einsum(..., optimize=True)`` re-runs the contraction-path search
+    on every call before dispatching to its batched-matmul lowering.  The
+    path is a pure function of (subscripts, shapes), and a plan executes
+    one fixed shape forever, so we resolve it once at build time and call
+    the lowering directly.  Guarded twice: the replay is probed for
+    bitwise equality against eager at build time, and any surprise
+    (numpy internals moved, multi-step path) falls back to
+    :func:`_mode_einsum` itself.  The batch-invariant flag is still
+    consulted per call — under it, eager uses ``optimize=False`` and so
+    do we.
+    """
+    eager = functools.partial(_mode_einsum, subscripts)
+    try:
+        from numpy._core.einsumfunc import bmm_einsum as _bmm
+    except (ImportError, AttributeError):
+        return eager
+    dummies = (np.zeros(x_shape, ctype), np.zeros(w_shape, ctype))
+    try:
+        _, contractions = np.einsum_path(
+            subscripts, *dummies, optimize=True, einsum_call=True
+        )
+    except TypeError:
+        return eager
+    if len(contractions) != 1:
+        return eager
+    inds, lowered, _ = contractions[0]
+    swapped = tuple(inds) == (1, 0)
+
+    rng = np.random.default_rng(12345)
+    pX, pW = (
+        (rng.standard_normal(s) + 1j * rng.standard_normal(s)).astype(ctype)
+        for s in (x_shape, w_shape)
+    )
+    want = np.einsum(subscripts, pX, pW, optimize=True)
+    got = _bmm(lowered, pW, pX) if swapped else _bmm(lowered, pX, pW)
+    if not (np.array_equal(want, got) and want.dtype == got.dtype):
+        return eager
+
+    def contract(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        if _BATCH_INVARIANT.enabled:
+            return np.einsum(subscripts, X, W, optimize=False)
+        return _bmm(lowered, W, X) if swapped else _bmm(lowered, X, W)
+
+    return contract
+
+
+def _fft_transforms(x_shape, y_shape, axes, s, rtype, ctype):
+    """Fixed-shape ``(rfftn, irfftn)`` callables for compiled spectral steps.
+
+    The scipy wrappers re-derive shape/axis/normalisation bookkeeping on
+    every call — roughly two thirds of the wall time of a serving-scale
+    transform.  A plan executes one fixed shape forever, so the
+    bookkeeping is resolved once here and the pocketfft C entry points
+    are called directly.  Guarded like :func:`_mode_contraction`: both
+    directions are probed for bitwise equality against the wrappers at
+    build time, any surprise (scipy internals moved, signature change,
+    mismatch) falls back to the wrappers, and the wrappers are also used
+    whenever ``_fft`` has been swapped out — the obs profiling hooks
+    count FFT calls by replacing that attribute, and compiled plans must
+    stay visible to them.
+    """
+    wrap_fwd, wrap_inv = _scipy_transforms(axes, s)
+    try:
+        from scipy.fft._pocketfft import pypocketfft as pfft
+    except ImportError:
+        return wrap_fwd, wrap_inv
+    pos_axes = tuple(ax % len(x_shape) for ax in axes)
+    lastsize = int(s[-1])
+    # inorm encodes the wrappers' default norm=None: 0 (unscaled) forward,
+    # 2 (1/N) inverse.  Verified bitwise by the probe below.
+    rng = np.random.default_rng(20240)
+    px = rng.standard_normal(x_shape).astype(rtype)
+    pY = (rng.standard_normal(y_shape)
+          + 1j * rng.standard_normal(y_shape)).astype(ctype)
+    try:
+        want_X, got_X = wrap_fwd(px), pfft.r2c(px, pos_axes, True, 0, None, 1)
+        want_y, got_y = wrap_inv(pY), pfft.c2r(pY, pos_axes, lastsize, False, 2, None, 1)
+    except (TypeError, ValueError):
+        return wrap_fwd, wrap_inv
+    if not (np.array_equal(want_X, got_X) and want_X.dtype == got_X.dtype
+            and np.array_equal(want_y, got_y) and want_y.dtype == got_y.dtype):
+        return wrap_fwd, wrap_inv
+
+    def rfftn(a: np.ndarray) -> np.ndarray:
+        if _fft is not _SCIPY_FFT:
+            return wrap_fwd(a)
+        return pfft.r2c(a, pos_axes, True, 0, None, _FFT_WORKERS or 1)
+
+    def irfftn(a: np.ndarray) -> np.ndarray:
+        if _fft is not _SCIPY_FFT:
+            return wrap_inv(a)
+        return pfft.c2r(a, pos_axes, lastsize, False, 2, None, _FFT_WORKERS or 1)
+
+    return rfftn, irfftn
+
+
+def _spectral_forward(x, wr, wi, modes, transforms=None, contract=None, scratch=None):
+    """The N-d Fourier layer ``irfftn(W · truncate(rfftn(x)))``.
+
+    ``wr``/``wi`` carry one weight slab per retained corner block (the
+    1-D layer's single block has no block axis).  Eager passes nothing
+    and runs the scipy wrappers, :func:`_mode_einsum` and a fresh zeroed
+    mode buffer; a compiled plan passes its build-time probed
+    ``transforms``/``contract`` and a pinned zeroed ``scratch`` whose
+    non-retained modes stay zero for the plan's lifetime (the block
+    slices are disjoint and rewritten every call).  Returns ``(y, X, W)``
+    — the spectrum and complex weights feed the eager backward.
+    """
+    ndim = len(modes)
+    batch, _, *spatial = x.shape
+    axes = tuple(range(-ndim, 0))
+    blocks = mode_blocks(spatial, modes)
+    W = (wr + 1j * wi).reshape((len(blocks), *wr.shape[-(2 + ndim):]))
+    rfftn, irfftn = transforms or _scipy_transforms(axes, tuple(spatial))
+    contract = contract or functools.partial(_mode_einsum, _subscripts(ndim)[0])
+    if scratch is None:
+        half = (*spatial[:-1], spatial[-1] // 2 + 1)
+        scratch = np.zeros((batch, W.shape[2], *half), dtype=_complex_dtype(x.dtype))
+    X = rfftn(x)
+    for b, blk in enumerate(blocks):
+        idx = (slice(None), slice(None), *blk)
+        scratch[idx] = contract(X[idx], W[b])
+    return irfftn(scratch).astype(x.dtype, copy=False), X, W
+
+
+def _spectral_fwd(x, wr, wi, *modes, transforms=None, contract=None, scratch=None):
+    return _spectral_forward(x, wr, wi, modes, transforms, contract, scratch)[0]
+
+
+def _fft_flops(batch: int, channels: int, spatial) -> int:
+    n = int(np.prod(spatial, dtype=np.int64))
+    return int(5 * batch * channels * n * max(1.0, math.log2(max(n, 2))))
+
+
+def _spectral_flops(args, shape) -> int:
+    (batch, cin, *spatial), modes = np.shape(args[0]), args[3:]
+    mix = 8 * batch * cin * shape[1] * 2 ** (len(modes) - 1) * int(np.prod(modes))
+    return 2 * _fft_flops(batch, cin + shape[1], spatial) + mix
+
+
+def _spectral_plan(b, args, getters, shape, dtype):
+    """Build-time setup: probed transforms/contraction and the zeroed scratch."""
+    x_shape, modes = np.shape(args[0]), tuple(args[3:])
+    batch, cin, *spatial = x_shape
+    ctype = _complex_dtype(dtype)
+    y_shape = (batch, shape[1], *spatial[:-1], spatial[-1] // 2 + 1)
+    axes = tuple(range(-len(modes), 0))
+    contract = _mode_contraction(
+        _subscripts(len(modes))[0], (batch, cin, *modes), (cin, shape[1], *modes), ctype
+    )
+    return None, {
+        "transforms": b.constant(_fft_transforms(x_shape, y_shape, axes, tuple(spatial), dtype, ctype)),
+        "contract": b.constant(contract),
+        "scratch": b.scratch(y_shape, ctype, init=lambda buf: buf.fill(0.0)),
+    }
+
+
+_spectral = primitive(_spectral_fwd, n_in=3, kind="spectral",
+                      flops=_spectral_flops, plan=_spectral_plan)
+
+
+def _spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> Tensor:
+    """Eager N-d spectral convolution: :func:`_spectral_forward` + adjoint."""
+    _, cin, *spatial = x.data.shape
+    m_half = spatial[-1] // 2 + 1
+    if modes[-1] > m_half:
+        raise ValueError(f"modes={modes[-1]} exceeds half-spectrum size {m_half}")
+    blocks = mode_blocks(spatial, modes)
+    lead = (cin,) if len(modes) == 1 else (len(blocks), cin)
+    if wr.data.shape[:len(lead)] != lead:
+        raise ValueError(
+            f"weight shape {wr.data.shape} incompatible with input {x.data.shape} "
+            f"and modes {modes}"
+        )
+    y, X, W = _spectral_forward(x.data, wr.data, wi.data, modes)
+    axes, s = tuple(range(-len(modes), 0)), tuple(spatial)
+    _, weight_subs, input_subs = _subscripts(len(modes))
+
+    def backward(g: np.ndarray) -> None:
+        GY = irfftn_adjoint(g, axes=axes, s=s)
+        if wr.requires_grad or wi.requires_grad:
+            gW = np.empty_like(W)
+            for b, blk in enumerate(blocks):
+                idx = (slice(None), slice(None), *blk)
+                gW[b] = np.einsum(weight_subs, GY[idx], np.conj(X[idx]), optimize=True)
+            gW = gW.reshape(wr.data.shape)
+            if wr.requires_grad:
+                wr._accumulate(gW.real)
+            if wi.requires_grad:
+                wi._accumulate(gW.imag)
+        if x.requires_grad:
+            GX = np.zeros(X.shape, dtype=X.dtype)
+            for b, blk in enumerate(blocks):
+                idx = (slice(None), slice(None), *blk)
+                GX[idx] = np.einsum(input_subs, GY[idx], np.conj(W[b]), optimize=True)
+            x._accumulate(rfftn_adjoint(GX, axes=axes, s=s))
+
+    return Tensor.from_op(y, (x, wr, wi), backward)
+
+
+@_spectral
+def spectral_conv1d(x: Tensor, wr: Tensor, wi: Tensor, modes: int) -> Tensor:
+    """Differentiable 1-D Fourier-layer convolution.
+
+    ``x`` has shape ``(batch, in_channels, n)``; weights have shape
+    ``(in_channels, out_channels, modes)`` (real and imaginary parts) and
+    act on the lowest ``modes`` bins of the half spectrum.
+    """
+    return _spectral_conv(x, wr, wi, (modes,))
+
+
+@_spectral
 def spectral_conv2d(x: Tensor, wr: Tensor, wi: Tensor, modes1: int, modes2: int) -> Tensor:
     """Differentiable 2-D Fourier-layer convolution.
 
@@ -227,102 +470,25 @@ def spectral_conv2d(x: Tensor, wr: Tensor, wi: Tensor, modes1: int, modes2: int)
     -------
     Tensor of shape ``(batch, out_channels, n1, n2)``.
     """
-    B, Cin, n1, n2 = x.data.shape
-    m_half = n2 // 2 + 1
-    if modes2 > m_half:
-        raise ValueError(f"modes2={modes2} exceeds half-spectrum size {m_half}")
-    blocks = mode_blocks_2d(n1, modes1, modes2)
-    n_blocks, wCin, Cout = wr.data.shape[0], wr.data.shape[1], wr.data.shape[2]
-    if n_blocks != len(blocks) or wCin != Cin:
-        raise ValueError(
-            f"weight shape {wr.data.shape} incompatible with input {x.data.shape} "
-            f"and modes ({modes1}, {modes2})"
-        )
-
-    axes, s = (-2, -1), (n1, n2)
-    X = _fft.rfftn(x.data, axes=axes, workers=_FFT_WORKERS)
-    W = _complex_weights(wr.data, wi.data)
-    ctype = np.complex64 if x.data.dtype == np.float32 else np.complex128
-    Y = np.zeros((B, Cout, n1, m_half), dtype=ctype)
-    X_blocks = []
-    for b, blk in enumerate(blocks):
-        Xb = X[:, :, blk[0], blk[1]]
-        X_blocks.append(Xb)
-        Y[:, :, blk[0], blk[1]] = _mode_einsum("bixy,ioxy->boxy", Xb, W[b])
-    y = _fft.irfftn(Y, s=s, axes=axes, workers=_FFT_WORKERS)
-
-    def backward(g: np.ndarray) -> None:
-        GY = irfftn_adjoint(g, axes=axes, s=s)
-        if wr.requires_grad or wi.requires_grad:
-            gW = np.empty_like(W)
-            for b, blk in enumerate(blocks):
-                gW[b] = np.einsum("boxy,bixy->ioxy", GY[:, :, blk[0], blk[1]], np.conj(X_blocks[b]), optimize=True)
-            if wr.requires_grad:
-                wr._accumulate(gW.real)
-            if wi.requires_grad:
-                wi._accumulate(gW.imag)
-        if x.requires_grad:
-            GX = np.zeros((B, Cin, n1, m_half), dtype=ctype)
-            for b, blk in enumerate(blocks):
-                GX[:, :, blk[0], blk[1]] = np.einsum(
-                    "boxy,ioxy->bixy", GY[:, :, blk[0], blk[1]], np.conj(W[b]), optimize=True
-                )
-            x._accumulate(rfftn_adjoint(GX, axes=axes, s=s))
-
-    return Tensor.from_op(y.astype(x.data.dtype, copy=False), (x, wr, wi), backward)
+    return _spectral_conv(x, wr, wi, (modes1, modes2))
 
 
-def spectral_conv1d(x: Tensor, wr: Tensor, wi: Tensor, modes: int) -> Tensor:
-    """Differentiable 1-D Fourier-layer convolution.
+@_spectral
+def spectral_conv3d(
+    x: Tensor, wr: Tensor, wi: Tensor, modes1: int, modes2: int, modes3: int
+) -> Tensor:
+    """Differentiable 3-D Fourier-layer convolution.
 
-    ``x`` has shape ``(batch, in_channels, n)``; weights have shape
-    ``(in_channels, out_channels, modes)`` (real and imaginary parts) and
-    act on the lowest ``modes`` bins of the half spectrum.
+    Parameters
+    ----------
+    x:
+        Input of shape ``(batch, in_channels, n1, n2, n3)`` (real); for the
+        space–time FNO the axes are ``(x, y, t)``.
+    wr, wi:
+        Real/imaginary weight parts of shape
+        ``(4, in_channels, out_channels, modes1, modes2, modes3)``.
     """
-    B, Cin, n = x.data.shape
-    m_half = n // 2 + 1
-    if modes > m_half:
-        raise ValueError(f"modes={modes} exceeds half-spectrum size {m_half}")
-    if wr.data.shape[0] != Cin:
-        raise ValueError(f"weight shape {wr.data.shape} incompatible with input {x.data.shape}")
-    Cout = wr.data.shape[1]
-
-    axes, s = (-1,), (n,)
-    X = _fft.rfftn(x.data, axes=axes, workers=_FFT_WORKERS)
-    W = _complex_weights(wr.data, wi.data)
-    ctype = np.complex64 if x.data.dtype == np.float32 else np.complex128
-    Y = np.zeros((B, Cout, m_half), dtype=ctype)
-    Xm = X[:, :, :modes]
-    Y[:, :, :modes] = _mode_einsum("bix,iox->box", Xm, W)
-    y = _fft.irfftn(Y, s=s, axes=axes, workers=_FFT_WORKERS)
-
-    def backward(g: np.ndarray) -> None:
-        GY = irfftn_adjoint(g, axes=axes, s=s)[:, :, :modes]
-        if wr.requires_grad or wi.requires_grad:
-            gW = np.einsum("box,bix->iox", GY, np.conj(Xm), optimize=True)
-            if wr.requires_grad:
-                wr._accumulate(gW.real)
-            if wi.requires_grad:
-                wi._accumulate(gW.imag)
-        if x.requires_grad:
-            GX = np.zeros((B, Cin, m_half), dtype=ctype)
-            GX[:, :, :modes] = np.einsum("box,iox->bix", GY, np.conj(W), optimize=True)
-            x._accumulate(rfftn_adjoint(GX, axes=axes, s=s))
-
-    return Tensor.from_op(y.astype(x.data.dtype, copy=False), (x, wr, wi), backward)
-
-
-# Wrapped at the bottom of the module once every op is defined.
-# Fused ops participate in trace recording like the generic primitives in
-# repro.tensor.ops (see repro.tensor.recording).  Rebinding here happens
-# before repro.tensor.__init__ re-exports the names, so every import path
-# resolves to the traced versions.
-def _wrap_traced_ops() -> None:
-    global spectral_conv1d, spectral_conv2d, spectral_conv3d, solenoidal_projection_2d
-    spectral_conv1d = _traced("spectral_conv1d", spectral_conv1d)
-    spectral_conv2d = _traced("spectral_conv2d", spectral_conv2d)
-    spectral_conv3d = _traced("spectral_conv3d", spectral_conv3d)
-    solenoidal_projection_2d = _traced("solenoidal_projection_2d", solenoidal_projection_2d)
+    return _spectral_conv(x, wr, wi, (modes1, modes2, modes3))
 
 
 def _projection_multipliers(n1: int, n2: int, length: float, dtype):
@@ -368,9 +534,9 @@ def solenoidal_apply_2d(
 ) -> np.ndarray:
     """Leray-project ``(B, 2S, n1, n2)`` velocity pairs (plain ndarray path).
 
-    Shared by the eager op below (forward and self-adjoint backward) and
-    by the compiled kernel in :mod:`repro.compile.kernels`, so both paths
-    run bit-identical arithmetic.
+    The forward of :func:`solenoidal_projection_2d` (which also applies
+    it to the cotangent, the operator being self-adjoint), of its
+    compiled plan step, and of the trust layer's projection check.
     """
     B, C, n1, n2 = arr.shape
     axes, s = (-2, -1), (n1, n2)
@@ -387,6 +553,12 @@ def solenoidal_apply_2d(
     return out.reshape(B, C, n1, n2).astype(arr.dtype, copy=False)
 
 
+def _solenoidal_fwd(x, length=2.0 * np.pi):
+    return solenoidal_apply_2d(x, *projection_multipliers(*x.shape[2:], length, x.dtype))
+
+
+@primitive(_solenoidal_fwd, kind="spectral",
+           flops=lambda args, shape: 2 * _fft_flops(shape[0], shape[1], shape[2:]))
 def solenoidal_projection_2d(x: Tensor, length: float = 2.0 * np.pi) -> Tensor:
     """Differentiable Leray projection of velocity pairs.
 
@@ -400,75 +572,10 @@ def solenoidal_projection_2d(x: Tensor, length: float = 2.0 * np.pi) -> Tensor:
     the very same projection to the cotangent (verified by gradcheck in
     the test suite).
     """
-    B, C, n1, n2 = x.data.shape
-    if C % 2 != 0:
+    if x.data.shape[1] % 2 != 0:
         raise ValueError("channel axis must hold (u_x, u_y) pairs")
-    kx, ky, inv_k2 = projection_multipliers(n1, n2, length, x.data.dtype)
-
-    y = solenoidal_apply_2d(x.data, kx, ky, inv_k2)
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(solenoidal_apply_2d(g, kx, ky, inv_k2))
+        x._accumulate(_solenoidal_fwd(g, length))
 
-    return Tensor.from_op(y, (x,), backward)
-
-
-def spectral_conv3d(
-    x: Tensor, wr: Tensor, wi: Tensor, modes1: int, modes2: int, modes3: int
-) -> Tensor:
-    """Differentiable 3-D Fourier-layer convolution.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(batch, in_channels, n1, n2, n3)`` (real); for the
-        space–time FNO the axes are ``(x, y, t)``.
-    wr, wi:
-        Real/imaginary weight parts of shape
-        ``(4, in_channels, out_channels, modes1, modes2, modes3)``.
-    """
-    B, Cin, n1, n2, n3 = x.data.shape
-    m_half = n3 // 2 + 1
-    if modes3 > m_half:
-        raise ValueError(f"modes3={modes3} exceeds half-spectrum size {m_half}")
-    blocks = mode_blocks_3d(n1, n2, modes1, modes2, modes3)
-    if wr.data.shape[0] != len(blocks) or wr.data.shape[1] != Cin:
-        raise ValueError(f"weight shape {wr.data.shape} incompatible with input {x.data.shape}")
-    Cout = wr.data.shape[2]
-
-    axes, s = (-3, -2, -1), (n1, n2, n3)
-    X = _fft.rfftn(x.data, axes=axes, workers=_FFT_WORKERS)
-    W = _complex_weights(wr.data, wi.data)
-    ctype = np.complex64 if x.data.dtype == np.float32 else np.complex128
-    Y = np.zeros((B, Cout, n1, n2, m_half), dtype=ctype)
-    X_blocks = []
-    for b, blk in enumerate(blocks):
-        Xb = X[:, :, blk[0], blk[1], blk[2]]
-        X_blocks.append(Xb)
-        Y[:, :, blk[0], blk[1], blk[2]] = _mode_einsum("bixyz,ioxyz->boxyz", Xb, W[b])
-    y = _fft.irfftn(Y, s=s, axes=axes, workers=_FFT_WORKERS)
-
-    def backward(g: np.ndarray) -> None:
-        GY = irfftn_adjoint(g, axes=axes, s=s)
-        if wr.requires_grad or wi.requires_grad:
-            gW = np.empty_like(W)
-            for b, blk in enumerate(blocks):
-                gW[b] = np.einsum(
-                    "boxyz,bixyz->ioxyz", GY[:, :, blk[0], blk[1], blk[2]], np.conj(X_blocks[b]), optimize=True
-                )
-            if wr.requires_grad:
-                wr._accumulate(gW.real)
-            if wi.requires_grad:
-                wi._accumulate(gW.imag)
-        if x.requires_grad:
-            GX = np.zeros((B, Cin, n1, n2, m_half), dtype=ctype)
-            for b, blk in enumerate(blocks):
-                GX[:, :, blk[0], blk[1], blk[2]] = np.einsum(
-                    "boxyz,ioxyz->bixyz", GY[:, :, blk[0], blk[1], blk[2]], np.conj(W[b]), optimize=True
-                )
-            x._accumulate(rfftn_adjoint(GX, axes=axes, s=s))
-
-    return Tensor.from_op(y.astype(x.data.dtype, copy=False), (x, wr, wi), backward)
-
-
-_wrap_traced_ops()
+    return Tensor.from_op(solenoidal_projection_2d.fwd(x.data, length), (x,), backward)

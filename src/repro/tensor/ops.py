@@ -1,8 +1,13 @@
 """Differentiable primitives for :class:`repro.tensor.Tensor`.
 
 Every function here takes tensors (or array-likes) and returns a Tensor
-wired into the tape.  Gradient formulas are standard; all of them are
-checked against central finite differences in the test suite.
+wired into the tape.  Each is declared with
+:func:`~repro.tensor.recording.primitive` next to its one array-level
+forward ``fwd(*arrays, out=None)`` and its plan metadata (FLOPs, output
+kind): the eager op runs ``fwd`` on ``.data`` and attaches its backward,
+and a compiled plan (:mod:`repro.compile`) runs the same ``fwd`` into
+arena buffers.  Gradient formulas are standard; all of them are checked
+against central finite differences in the test suite.
 
 The module also installs the arithmetic dunders (``+``, ``*``, ``@``,
 slicing, …) on :class:`Tensor` at import time.
@@ -16,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as _sp_special
 
-from .recording import traced as _traced
+from .recording import primitive, weak_pair
 from .tensor import Tensor, unbroadcast
 
 __all__ = [
@@ -37,135 +42,122 @@ def _t(value) -> Tensor:
 
 
 def _t2(a, b) -> tuple[Tensor, Tensor]:
-    """Coerce a binary-op operand pair to tensors.
-
-    A bare Python scalar adopts the tensor operand's dtype (NEP-50 weak
-    scalar semantics): ``x32 * 0.5`` stays float32 instead of the literal
-    widening the whole pipeline to float64.
-    """
-    if isinstance(a, Tensor) and not isinstance(b, Tensor) and isinstance(b, (int, float)) and not isinstance(b, bool):
-        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
-    if isinstance(b, Tensor) and not isinstance(a, Tensor) and isinstance(a, (int, float)) and not isinstance(a, bool):
-        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    """Coerce a binary-op operand pair to tensors (see :func:`weak_pair`)."""
+    a, b = weak_pair(a, b)
     return _t(a), _t(b)
 
 
+def _numel(shape) -> int:
+    return int(np.prod(shape, dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
-# arithmetic
+# arithmetic and elementwise functions
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _t2(a, b)
-    out_data = a.data + b.data
+def _defop(name: str, fwd, *grads, **meta):
+    """Declare primitive ``name`` from its forward and per-operand gradients.
 
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(unbroadcast(g, a.data.shape))
-        b._accumulate(unbroadcast(g, b.data.shape))
+    The op's leading ``len(grads)`` arguments are tensor operands (a pair
+    goes through weak-scalar adoption); further arguments are statics
+    passed on to ``fwd`` and to every gradient.  ``grads[i](g, out,
+    *inputs, *statics)`` is operand ``i``'s cotangent before it is summed
+    back over broadcast axes.
+    """
+    n_in = len(grads)
 
-    return Tensor.from_op(out_data, (a, b), backward)
+    def op(*args) -> Tensor:
+        tensors = _t2(*args[:2]) if n_in == 2 else (_t(args[0]),)
+        statics = args[n_in:]
+        inputs = [t.data for t in tensors]
+        out_data = fwd(*inputs, *statics)
 
+        def backward(g: np.ndarray) -> None:
+            for t, grad in zip(tensors, grads):
+                if t.requires_grad:
+                    t._accumulate(unbroadcast(grad(g, out_data, *inputs, *statics), t.data.shape))
 
-def sub(a, b) -> Tensor:
-    a, b = _t2(a, b)
-    out_data = a.data - b.data
+        return Tensor.from_op(out_data, tensors, backward)
 
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(unbroadcast(g, a.data.shape))
-        b._accumulate(unbroadcast(-g, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _t2(a, b)
-    out_data = a.data * b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    op.__name__ = op.__qualname__ = name
+    return primitive(fwd, n_in=n_in, weak=(0, 1) if n_in == 2 else None, **meta)(op)
 
 
-def div(a, b) -> Tensor:
-    a, b = _t2(a, b)
-    out_data = a.data / b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+def _normal_cdf(x, out=None):
+    """``0.5 (1 + erf(x / sqrt(2)))``, built in place in ``out``."""
+    # In place: at serving batch sizes these arrays fall out of cache,
+    # so every avoided temporary is a real memory-traffic saving.
+    cdf = np.divide(x, _SQRT_2, out=out)
+    _sp_special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
-def neg(a) -> Tensor:
+def _matmul_grad_a(g, y, a, b):
+    if b.ndim == 1:
+        return np.asarray(np.multiply.outer(g, b) if a.ndim > 1 else g * b)
+    return g @ np.swapaxes(b, -1, -2)
+
+
+def _matmul_grad_b(g, y, a, b):
+    if a.ndim == 1:
+        return np.asarray(np.multiply.outer(a, g) if b.ndim > 1 else a * g)
+    return np.swapaxes(a, -1, -2) @ g
+
+
+add = _defop("add", np.add, lambda g, y, a, b: g, lambda g, y, a, b: g, flops=1)
+sub = _defop("sub", np.subtract, lambda g, y, a, b: g, lambda g, y, a, b: -g, flops=1)
+mul = _defop("mul", np.multiply, lambda g, y, a, b: g * b, lambda g, y, a, b: g * a, flops=1)
+div = _defop("div", np.divide, lambda g, y, a, b: g / b,
+             lambda g, y, a, b: -g * a / (b * b), flops=1)
+maximum = _defop("maximum", np.maximum, lambda g, y, a, b: g * (a >= b),
+                 lambda g, y, a, b: g * ~(a >= b), flops=1)
+minimum = _defop("minimum", np.minimum, lambda g, y, a, b: g * (a <= b),
+                 lambda g, y, a, b: g * ~(a <= b), flops=1)
+matmul = _defop("matmul", np.matmul, _matmul_grad_a, _matmul_grad_b, kind="transient",
+                flops=lambda args, shape: 2 * np.shape(args[0])[-1] * _numel(shape))
+# Inner product of two flattened tensors.
+dot = _defop("dot", lambda a, b: np.asarray(np.vdot(a, b)), lambda g, y, a, b: g * b,
+             lambda g, y, a, b: g * a, kind="transient")
+neg = _defop("neg", np.negative, lambda g, y, x: -g, flops=1)
+# Elementwise power with a *scalar* exponent.
+pow_ = _defop("pow_", lambda x, e, out=None: np.power(x, float(e), out=out),
+              lambda g, y, x, e: g * float(e) * x ** (float(e) - 1.0), flops=8)
+square = _defop("square", lambda x, out=None: np.multiply(x, x, out=out),
+                lambda g, y, x: 2.0 * g * x, flops=1)
+exp = _defop("exp", np.exp, lambda g, y, x: g * y, flops=8)
+log = _defop("log", np.log, lambda g, y, x: g / x, flops=8)
+sqrt = _defop("sqrt", np.sqrt, lambda g, y, x: g * 0.5 / y, flops=4)
+tanh = _defop("tanh", np.tanh, lambda g, y, x: g * (1.0 - y * y), flops=8)
+sigmoid = _defop("sigmoid", _sp_special.expit, lambda g, y, x: g * y * (1.0 - y), flops=8)
+relu = _defop("relu", lambda x, out=None: np.maximum(x, 0.0, out=out),
+              lambda g, y, x: g * (x > 0), flops=1)
+abs_ = _defop("abs_", np.absolute, lambda g, y, x: g * np.sign(x), flops=1)
+sin = _defop("sin", np.sin, lambda g, y, x: g * np.cos(x), flops=8)
+cos = _defop("cos", np.cos, lambda g, y, x: -g * np.sin(x), flops=8)
+clip = _defop("clip", np.clip, lambda g, y, x, lo, hi: g * ((x >= lo) & (x <= hi)), flops=2)
+
+
+def _gelu(x, out=None, cdf=None):
+    """``x * cdf``, with ``cdf = _normal_cdf(x)`` built in ``out`` unless given."""
+    if cdf is None:
+        cdf = out = _normal_cdf(x, out=out)
+    return np.multiply(cdf, x, out=out)
+
+
+@primitive(_gelu, flops=12)
+def gelu(a) -> Tensor:
+    """Exact Gaussian error linear unit: ``0.5 x (1 + erf(x/sqrt(2)))``."""
     a = _t(a)
+    x = a.data
+    cdf = _normal_cdf(x)  # kept for the backward
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(-g)
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        a._accumulate(g * (cdf + x * pdf))
 
-    return Tensor.from_op(-a.data, (a,), backward)
-
-
-def pow_(a, exponent: float) -> Tensor:
-    """Elementwise power with a *scalar* exponent."""
-    a = _t(a)
-    exponent = float(exponent)
-    out_data = a.data ** exponent
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-
-    return Tensor.from_op(out_data, (a,), backward)
-
-
-def square(a) -> Tensor:
-    a = _t(a)
-    out_data = a.data * a.data
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(2.0 * g * a.data)
-
-    return Tensor.from_op(out_data, (a,), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _t2(a, b)
-    out_data = a.data @ b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            if b.data.ndim == 1:
-                ga = np.multiply.outer(g, b.data) if a.data.ndim > 1 else g * b.data
-            else:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(unbroadcast(np.asarray(ga), a.data.shape))
-        if b.requires_grad:
-            if a.data.ndim == 1:
-                gb = np.multiply.outer(a.data, g) if b.data.ndim > 1 else a.data * g
-            else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(unbroadcast(np.asarray(gb), b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
-
-
-def dot(a, b) -> Tensor:
-    """Inner product of two flattened tensors."""
-    a, b = _t2(a, b)
-    out_data = np.asarray(np.vdot(a.data, b.data))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    return Tensor.from_op(gelu.fwd(x, cdf=cdf), (a,), backward)
 
 
 def _indices(term: str) -> str:
@@ -189,6 +181,10 @@ def _parse_einsum(subscripts: str, n_ops: int) -> tuple[list[str], str]:
     return terms, out
 
 
+# Deliberately not compilable (``fwd`` None): its gradient-era parsing and
+# optimize=True contraction paths make an equivalence claim untestable in
+# general, so models built on it (DeepONet) are served eagerly.
+@primitive(None)
 def einsum(subscripts: str, *operands) -> Tensor:
     """Differentiable einsum for one or two operands.
 
@@ -250,6 +246,18 @@ def einsum(subscripts: str, *operands) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward)
 
 
+def _channel_linear(x, weight, bias=None, out=None):
+    batch, cin, *grid = x.shape
+    cout = weight.shape[1]
+    flat_out = None if out is None else out.reshape(batch, cout, -1)
+    flat_out = np.matmul(weight.T, x.reshape(batch, cin, -1), out=flat_out)
+    if bias is not None:
+        flat_out += bias[:, None]
+    return flat_out.reshape(batch, cout, *grid)
+
+
+@primitive(_channel_linear, n_in=3,
+           flops=lambda args, shape: 2 * np.shape(args[0])[1] * _numel(shape))
 def channel_linear(x, weight, bias=None) -> Tensor:
     """Pointwise channel mix ``y[b,o,...] = sum_i x[b,i,...] w[i,o] (+ bias[o])``.
 
@@ -269,15 +277,12 @@ def channel_linear(x, weight, bias=None) -> Tensor:
         raise ValueError(
             f"channel_linear got {x.data.shape[1]} input channels for weight {weight.data.shape}"
         )
-    batch, _, *grid = x.data.shape
+    batch = x.data.shape[0]
     out_channels = weight.data.shape[1]
     if bias is not None and bias.data.shape != (out_channels,):
         raise ValueError(f"channel_linear bias must have shape ({out_channels},)")
     flat = x.data.reshape(batch, x.data.shape[1], -1)
-    out_flat = np.matmul(weight.data.T, flat)
-    if bias is not None:
-        out_flat += bias.data[:, None]
-    out_data = out_flat.reshape(batch, out_channels, *grid)
+    out_data = channel_linear.fwd(x.data, weight.data, None if bias is None else bias.data)
 
     def backward(g: np.ndarray) -> None:
         g_flat = g.reshape(batch, out_channels, -1)
@@ -305,157 +310,15 @@ def _expand_missing(g: np.ndarray, term: str, kept: list[str], size_map: dict[st
     return g.reshape(shape)
 
 
-# ---------------------------------------------------------------------------
-# elementwise functions
-# ---------------------------------------------------------------------------
-
-def exp(a) -> Tensor:
-    a = _t(a)
-    out_data = np.exp(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * out_data)
-
-    return Tensor.from_op(out_data, (a,), backward)
+def _where(cond, a, b):
+    return np.where(np.asarray(cond, dtype=bool), a, b)
 
 
-def log(a) -> Tensor:
-    a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g / a.data)
-
-    return Tensor.from_op(np.log(a.data), (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    a = _t(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * 0.5 / out_data)
-
-    return Tensor.from_op(out_data, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = _t(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * (1.0 - out_data * out_data))
-
-    return Tensor.from_op(out_data, (a,), backward)
-
-
-def sigmoid(a) -> Tensor:
-    a = _t(a)
-    out_data = _sp_special.expit(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * out_data * (1.0 - out_data))
-
-    return Tensor.from_op(out_data, (a,), backward)
-
-
-def relu(a) -> Tensor:
-    a = _t(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * (a.data > 0))
-
-    return Tensor.from_op(out_data, (a,), backward)
-
-
-def gelu(a) -> Tensor:
-    """Exact Gaussian error linear unit: ``0.5 x (1 + erf(x/sqrt(2)))``."""
-    a = _t(a)
-    x = a.data
-    # Built in place: at serving batch sizes these arrays fall out of
-    # cache, so every avoided temporary is a real memory-traffic saving.
-    cdf = x / _SQRT_2
-    _sp_special.erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out_data = x * cdf
-
-    def backward(g: np.ndarray) -> None:
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        a._accumulate(g * (cdf + x * pdf))
-
-    return Tensor.from_op(out_data, (a,), backward)
-
-
-def abs_(a) -> Tensor:
-    a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * np.sign(a.data))
-
-    return Tensor.from_op(np.abs(a.data), (a,), backward)
-
-
-def sin(a) -> Tensor:
-    a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * np.cos(a.data))
-
-    return Tensor.from_op(np.sin(a.data), (a,), backward)
-
-
-def cos(a) -> Tensor:
-    a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(-g * np.sin(a.data))
-
-    return Tensor.from_op(np.cos(a.data), (a,), backward)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    a = _t(a)
-    out_data = np.clip(a.data, lo, hi)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * ((a.data >= lo) & (a.data <= hi)))
-
-    return Tensor.from_op(out_data, (a,), backward)
-
-
-def maximum(a, b) -> Tensor:
-    a, b = _t2(a, b)
-    out_data = np.maximum(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        mask = a.data >= b.data
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g * mask, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(g * ~mask, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
-
-
-def minimum(a, b) -> Tensor:
-    a, b = _t2(a, b)
-    out_data = np.minimum(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        mask = a.data <= b.data
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g * mask, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(g * ~mask, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
-
-
+@primitive(_where, n_in=3, kind="transient", flops=1, weak=(1, 2))
 def where(cond, a, b) -> Tensor:
     cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=bool)
     a, b = _t2(a, b)
-    out_data = np.where(cond, a.data, b.data)
+    out_data = where.fwd(cond, a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -470,6 +333,7 @@ def where(cond, a, b) -> Tensor:
 # shape manipulation
 # ---------------------------------------------------------------------------
 
+@primitive(np.reshape, kind="view")
 def reshape(a, shape) -> Tensor:
     a = _t(a)
     in_shape = a.data.shape
@@ -477,64 +341,125 @@ def reshape(a, shape) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate(g.reshape(in_shape))
 
-    return Tensor.from_op(a.data.reshape(shape), (a,), backward)
+    return Tensor.from_op(reshape.fwd(a.data, shape), (a,), backward)
 
 
+@primitive(np.transpose, kind="view")
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     a = _t(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
-    axes = tuple(axes)
-    inv = np.argsort(axes)
+    out_data = transpose.fwd(a.data, axes)
+    inv = np.argsort(tuple(reversed(range(a.data.ndim))) if axes is None else tuple(axes))
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g.transpose(inv))
 
-    return Tensor.from_op(a.data.transpose(axes), (a,), backward)
+    return Tensor.from_op(out_data, (a,), backward)
 
 
+@primitive(np.moveaxis, kind="view")
 def moveaxis(a, source, destination) -> Tensor:
     a = _t(a)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(np.moveaxis(g, destination, source))
 
-    return Tensor.from_op(np.moveaxis(a.data, source, destination), (a,), backward)
+    return Tensor.from_op(moveaxis.fwd(a.data, source, destination), (a,), backward)
 
 
+def _getitem(x, index, out=None):
+    if out is None:
+        return np.ascontiguousarray(x[index])
+    np.copyto(out, x[index])
+    return out
+
+
+@primitive(_getitem)
 def getitem(a, index) -> Tensor:
     a = _t(a)
-    out_data = a.data[index]
 
     def backward(g: np.ndarray) -> None:
         ga = np.zeros_like(a.data)
         np.add.at(ga, index, g)
         a._accumulate(ga)
 
-    return Tensor.from_op(np.ascontiguousarray(out_data), (a,), backward)
+    return Tensor.from_op(getitem.fwd(a.data, index), (a,), backward)
 
 
+def _pad_layout(pad_width, shape) -> tuple[np.ndarray, tuple[slice, ...]]:
+    """Per-axis ``(before, after)`` widths and the unpadded region's index."""
+    pad_width = np.asarray(pad_width)
+    if pad_width.ndim == 1:
+        pad_width = np.broadcast_to(pad_width, (len(shape), 2))
+    return pad_width, tuple(
+        slice(int(before), int(before) + dim)
+        for (before, _after), dim in zip(pad_width, shape)
+    )
+
+
+def _pad(x, pad_width, constant_value=0.0, out=None):
+    """Constant pad.  A given ``out`` already holds the margin (a plan
+    fills its pinned buffer once, see ``_pad_plan``); only the interior
+    is written."""
+    pad_width, interior = _pad_layout(pad_width, x.shape)
+    if out is None:
+        shape = [dim + int(before) + int(after) for dim, (before, after) in zip(x.shape, pad_width)]
+        out = np.full(shape, constant_value, dtype=x.dtype)
+    np.copyto(out[interior], x)
+    return out
+
+
+def _pad_plan(b, args, getters, shape, dtype):
+    # Pinned: the margin is written once when the buffer materialises.
+    constant_value = args[2]
+    return (lambda buf: buf.fill(constant_value)), {}
+
+
+@primitive(_pad, plan=_pad_plan)
 def pad(a, pad_width, constant_value: float = 0.0) -> Tensor:
     """Constant-pad; ``pad_width`` follows :func:`numpy.pad` conventions."""
     a = _t(a)
-    pad_width = np.asarray(pad_width)
-    if pad_width.ndim == 1:
-        pad_width = np.broadcast_to(pad_width, (a.data.ndim, 2))
-    slices = tuple(
-        slice(int(before), int(before) + dim)
-        for (before, _after), dim in zip(pad_width, a.data.shape)
-    )
-    out_data = np.pad(a.data, pad_width, constant_values=constant_value)
+    _, interior = _pad_layout(pad_width, a.data.shape)
+    out_data = pad.fwd(a.data, pad_width, constant_value)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g[slices])
+        a._accumulate(g[interior])
 
     return Tensor.from_op(out_data, (a,), backward)
 
 
+def _concatenate(arrays, axis=0, out=None):
+    """``np.concatenate``.  With ``out``, an int entry stands for a region
+    of that extent along ``axis`` which ``out`` already holds (a plan
+    writes constant pieces once, see ``_concatenate_plan``)."""
+    if out is None:
+        return np.concatenate(arrays, axis=axis)
+    index = [slice(None)] * out.ndim
+    start = 0
+    for arr in arrays:
+        size = arr if isinstance(arr, int) else arr.shape[axis]
+        if not isinstance(arr, int):
+            index[axis] = slice(start, start + size)
+            np.copyto(out[tuple(index)], arr)
+        start += size
+    return out
+
+
+def _concatenate_plan(b, args, getters, shape, dtype):
+    tensors, axis = args
+    pinned = [b.is_constant(t) for t in tensors]
+    if not any(pinned):
+        return None, {}
+    sizes = [np.shape(t)[axis] for t in tensors]
+    consts = [t.data if p else n for t, p, n in zip(tensors, pinned, sizes)]
+    gets = [n if p else b.getter(t) for t, p, n in zip(tensors, pinned, sizes)]
+    getters[0] = lambda values: [g if isinstance(g, int) else g(values) for g in gets]
+    return (lambda buf: _concatenate(consts, axis, out=buf)), {}
+
+
+@primitive(_concatenate, plan=_concatenate_plan)
 def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
     tensors = [_t(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    out_data = concatenate.fwd([t.data for t in tensors], axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -548,9 +473,10 @@ def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
     return Tensor.from_op(out_data, tuple(tensors), backward)
 
 
+@primitive(np.stack)
 def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     tensors = [_t(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
+    out_data = stack.fwd([t.data for t in tensors], axis)
 
     def backward(g: np.ndarray) -> None:
         pieces = np.moveaxis(g, axis, 0)
@@ -561,16 +487,22 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     return Tensor.from_op(out_data, tuple(tensors), backward)
 
 
+@primitive(np.roll, kind="transient")
 def roll(a, shift, axis) -> Tensor:
     """Periodic roll along ``axis`` (differentiable; adjoint rolls back)."""
     a = _t(a)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(np.roll(g, -shift if not isinstance(shift, tuple) else tuple(-s for s in shift), axis=axis))
+        a._accumulate(np.roll(g, np.negative(shift), axis=axis))
 
-    return Tensor.from_op(np.roll(a.data, shift, axis=axis), (a,), backward)
+    return Tensor.from_op(roll.fwd(a.data, shift, axis), (a,), backward)
 
 
+def _broadcast_to(x, shape):
+    return np.broadcast_to(x, shape).copy()
+
+
+@primitive(_broadcast_to, kind="transient")
 def broadcast_to(a, shape) -> Tensor:
     a = _t(a)
     in_shape = a.data.shape
@@ -578,7 +510,7 @@ def broadcast_to(a, shape) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate(unbroadcast(g, in_shape))
 
-    return Tensor.from_op(np.broadcast_to(a.data, shape).copy(), (a,), backward)
+    return Tensor.from_op(broadcast_to.fwd(a.data, shape), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -596,21 +528,30 @@ def _restore_reduced(g: np.ndarray, in_shape: tuple[int, ...], axis, keepdims: b
     return np.broadcast_to(g, in_shape)
 
 
+def _sum(x, axis=None, keepdims=False):
+    return np.asarray(x.sum(axis=axis, keepdims=keepdims))
+
+
+@primitive(_sum, kind="transient")
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _t(a)
     in_shape = a.data.shape
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(_restore_reduced(g, in_shape, axis, keepdims))
 
-    return Tensor.from_op(np.asarray(out_data), (a,), backward)
+    return Tensor.from_op(sum_.fwd(a.data, axis, keepdims), (a,), backward)
 
 
+def _mean(x, axis=None, keepdims=False):
+    return np.asarray(x.mean(axis=axis, keepdims=keepdims))
+
+
+@primitive(_mean, kind="transient")
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _t(a)
     in_shape = a.data.shape
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
+    out_data = mean.fwd(a.data, axis, keepdims)
     count = a.data.size if axis is None else np.prod(
         [in_shape[ax % len(in_shape)] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
@@ -618,7 +559,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate(_restore_reduced(g, in_shape, axis, keepdims) / count)
 
-    return Tensor.from_op(np.asarray(out_data), (a,), backward)
+    return Tensor.from_op(out_data, (a,), backward)
 
 
 def var(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -630,30 +571,17 @@ def var(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# trace recording (inference compiler)
-# ---------------------------------------------------------------------------
-
-# Every primitive is wrapped so repro.compile can record op schedules (see
-# repro.tensor.recording).  ``var`` is deliberately excluded: it is a
-# composite whose output Tensor *is* its internal ``mean``'s output, and
-# wrapping it would record that tensor twice.  The dunders installed below
-# use late-binding lambdas, so they dispatch to the wrapped functions too.
-_TRACED_OPS = (
-    "add", "sub", "mul", "div", "neg", "pow_", "square", "matmul", "dot",
-    "einsum", "channel_linear", "exp", "log", "sqrt", "tanh", "sigmoid",
-    "relu", "gelu", "abs_", "sin", "cos", "clip", "maximum", "minimum",
-    "where", "reshape", "transpose", "moveaxis", "getitem", "pad",
-    "concatenate", "stack", "roll", "broadcast_to", "sum_", "mean",
-)
-for _name in _TRACED_OPS:
-    globals()[_name] = _traced(_name, globals()[_name])
-del _name
-
-
-# ---------------------------------------------------------------------------
 # dunder installation
 # ---------------------------------------------------------------------------
 
+def _varargs(values: tuple):
+    """numpy's ``f(a, b, c)`` / ``f((a, b, c))`` calling convention."""
+    return values[0] if len(values) == 1 and isinstance(values[0], (tuple, list)) else values
+
+
+# ``var`` is deliberately not a primitive: it is a composite whose output
+# Tensor *is* its internal ``mean``'s output.  The dunders use
+# late-binding lambdas, so they dispatch to the traced wrappers.
 def _install_operators() -> None:
     Tensor.__add__ = lambda self, other: add(self, other)
     Tensor.__radd__ = lambda self, other: add(other, self)
@@ -667,8 +595,8 @@ def _install_operators() -> None:
     Tensor.__pow__ = lambda self, exponent: pow_(self, exponent)
     Tensor.__matmul__ = lambda self, other: matmul(self, other)
     Tensor.__getitem__ = lambda self, index: getitem(self, index)
-    Tensor.reshape = lambda self, *shape: reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-    Tensor.transpose = lambda self, *axes: transpose(self, axes if axes else None)
+    Tensor.reshape = lambda self, *shape: reshape(self, _varargs(shape))
+    Tensor.transpose = lambda self, *axes: transpose(self, _varargs(axes) or None)
     Tensor.sum = lambda self, axis=None, keepdims=False: sum_(self, axis, keepdims)
     Tensor.mean = lambda self, axis=None, keepdims=False: mean(self, axis, keepdims)
 

@@ -2,12 +2,16 @@
 
 :mod:`repro.compile` builds frozen execution plans by running a model's
 ``forward`` once under a recording context and capturing the linear
-sequence of tensor primitives it executes.  This module owns the hook:
-every differentiable primitive in :mod:`repro.tensor.ops` and every fused
-spectral op in :mod:`repro.tensor.fft_ops` is wrapped with :func:`traced`
-at module-definition time, so the wrapped function *is* the public op —
-``from repro.tensor import gelu`` and the installed ``Tensor`` dunders
-both resolve to it.
+sequence of tensor primitives it executes.  This module owns the hook
+and the op registry: every differentiable primitive in
+:mod:`repro.tensor.ops` and every fused spectral op in
+:mod:`repro.tensor.fft_ops` is declared with :func:`primitive`, which
+registers the op's one array-level forward (``fwd``) with the metadata a
+compiled plan needs, and wraps the eager function so the wrapped
+function *is* the public op — ``from repro.tensor import gelu`` and the
+installed ``Tensor`` dunders both resolve to it.  The eager op runs
+``fwd`` on ``.data`` and attaches its backward; a compiled plan runs the
+same ``fwd`` on arena buffers, so the two paths cannot drift apart.
 
 Design constraints:
 
@@ -28,23 +32,87 @@ Design constraints:
 from __future__ import annotations
 
 import functools
+import inspect
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from .tensor import Tensor
 
-__all__ = ["TraceRecord", "Recorder", "traced", "recording_active"]
+__all__ = [
+    "TraceRecord", "Recorder", "Primitive", "PRIMITIVES", "primitive",
+    "weak_pair", "recording_active",
+]
 
 
 @dataclass
 class TraceRecord:
-    """One primitive executed during a recorded forward pass."""
+    """One primitive executed during a recorded forward pass.
+
+    ``args`` is the op's full positional argument list (keywords bound
+    to their positions, defaults applied), so a plan reads every
+    argument by position.
+    """
 
     op: str
     args: tuple
     kwargs: dict
     out: Tensor
+
+
+@dataclass(frozen=True)
+class Primitive:
+    """A traced op: its array-level forward plus its plan metadata.
+
+    * ``fwd(*inputs, *statics, out=None)`` is the op's only forward.  The
+      first ``n_in`` positional arguments of the public op are array
+      operands (a list for ``concatenate``/``stack``); the rest pass
+      through unchanged.  ``fwd is None`` marks an op the compiler
+      rejects (``einsum``).
+    * ``kind`` is the plan step's output: ``"arena"`` (``fwd`` writes a
+      preallocated ``out=`` buffer), ``"view"`` (a view of operand 0),
+      or a fresh per-call array (``"transient"``, or ``"spectral"`` for
+      the fused Fourier ops).
+    * ``flops`` is a per-output-element count, or ``flops(args, shape)``.
+    * ``weak`` names the operand pair under weak-scalar adoption
+      (:func:`weak_pair`).
+    * ``plan(builder, args, getters, shape, dtype) -> (init, kwargs)`` is
+      an optional build-time hook for setup that is not arithmetic: an
+      ``init`` filling the constant part of a pinned output buffer once,
+      and extra per-call keyword getters for ``fwd``.
+    """
+
+    name: str
+    fwd: Callable[..., np.ndarray] | None
+    n_in: int = 1
+    kind: str = "arena"
+    flops: int | Callable[[list, tuple], int] = 0
+    weak: tuple[int, int] | None = None
+    plan: Callable | None = None
+
+
+PRIMITIVES: dict[str, Primitive] = {}
+
+
+def _weak_scalar(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def weak_pair(a, b):
+    """Weak-scalar adoption for a binary op's operands (NEP-50).
+
+    A bare Python scalar paired with a tensor becomes a 0-d array of the
+    tensor's dtype: ``x32 * 0.5`` stays float32 instead of the literal
+    widening the whole pipeline to float64.  Eager ops and compiled
+    plans both resolve operands through this one rule.
+    """
+    if isinstance(a, Tensor) and _weak_scalar(b):
+        return a, np.asarray(b, dtype=a.data.dtype)
+    if isinstance(b, Tensor) and _weak_scalar(a):
+        return np.asarray(a, dtype=b.data.dtype), b
+    return a, b
 
 
 class _ActiveState(threading.local):
@@ -123,24 +191,34 @@ def recording_active() -> bool:
     return _ACTIVE.recorder is not None
 
 
-def traced(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Wrap op ``fn`` so an active recorder captures each call.
+def primitive(fwd: Callable[..., np.ndarray] | None, **meta) -> Callable:
+    """Declare the decorated eager function a traced primitive.
 
-    The wrapper is transparent — same signature, same return value — and
-    records ``(name, args, kwargs, out)`` only when this thread holds an
-    active recorder.  Ops that call other wrapped ops internally simply
-    produce nested records; composite ops whose output *is* an internal
-    op's output (e.g. ``ops.var``) must not be wrapped, or the same
-    tensor would be recorded twice.
+    Registers :class:`Primitive` ``(fn.__name__, fwd, **meta)`` and wraps
+    ``fn`` so an active recorder captures each call.  The wrapper is
+    transparent — same signature, same return value — and exposes
+    ``fwd`` as ``wrapper.fwd`` for the eager body to call.  Composite
+    ops whose output *is* an internal op's output (e.g. ``ops.var``) must
+    not be declared, or the same tensor would be recorded twice.
     """
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        recorder = _ACTIVE.recorder
-        out = fn(*args, **kwargs)
-        if recorder is not None and isinstance(out, Tensor):
-            recorder.records.append(TraceRecord(name, args, dict(kwargs), out))
-        return out
+    def declare(fn: Callable[..., Any]) -> Callable[..., Any]:
+        name = fn.__name__
+        PRIMITIVES[name] = Primitive(name, fwd, **meta)
+        signature = inspect.signature(fn)
 
-    wrapper.__wrapped_op__ = name  # type: ignore[attr-defined]
-    return wrapper
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            recorder = _ACTIVE.recorder
+            out = fn(*args, **kwargs)
+            if recorder is not None and isinstance(out, Tensor):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                recorder.records.append(TraceRecord(name, bound.args, bound.kwargs, out))
+            return out
+
+        wrapper.fwd = fwd  # type: ignore[attr-defined]
+        wrapper.__wrapped_op__ = name  # type: ignore[attr-defined]
+        return wrapper
+
+    return declare

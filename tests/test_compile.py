@@ -98,6 +98,26 @@ class TestEquivalence:
             assert np.array_equal(plan.execute(x), _eager(model, x))
         assert np.array_equal(plan.execute(x), _eager(model, x))
 
+    @pytest.mark.parametrize("form", ["tuple", "list", "varargs"])
+    def test_tensor_transpose_forms(self, form):
+        axes = {"tuple": ((0, 2, 1, 3),), "list": ([0, 2, 1, 3],),
+                "varargs": (0, 2, 1, 3)}[form]
+        module = _OpModule(lambda x: x.transpose(*axes) * 2.0)
+        x = np.random.default_rng(33).standard_normal((2, 3, 4, 5)).astype(np.float32)
+        plan, _ = rc.trace_model(module, x)
+        eager = _eager(module, x)
+        assert np.array_equal(eager, 2.0 * x.transpose(0, 2, 1, 3))
+        assert np.array_equal(plan.execute(x), eager)
+
+    def test_keyword_arguments_reach_the_plan(self):
+        from repro.tensor import ops
+
+        module = _OpModule(lambda x: ops.sum_(ops.roll(x, shift=[1, 2], axis=[2, 3]),
+                                              axis=1, keepdims=True))
+        x = np.random.default_rng(34).standard_normal(_GRID)
+        plan, _ = rc.trace_model(module, x)
+        assert np.array_equal(plan.execute(x), _eager(module, x))
+
     def test_fft_workers_setting_agrees(self):
         model = _fno2d()
         x = np.random.default_rng(10).standard_normal((1, 3, 16, 16)).astype(np.float32)

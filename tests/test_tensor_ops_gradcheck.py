@@ -165,6 +165,13 @@ class TestShape:
     def test_transpose_axes(self):
         gradcheck(lambda a: ops.transpose(a, (2, 0, 1)), (2, 3, 4))
 
+    def test_transpose_method_forms(self):
+        # numpy's calling conventions: one tuple/list argument, varargs, none.
+        gradcheck(lambda a: a.transpose((2, 0, 1)), (2, 3, 4))
+        gradcheck(lambda a: a.transpose([2, 0, 1]), (2, 3, 4))
+        gradcheck(lambda a: a.transpose(2, 0, 1), (2, 3, 4))
+        gradcheck(lambda a: a.transpose(), (2, 3, 4))
+
     def test_moveaxis(self):
         gradcheck(lambda a: ops.moveaxis(a, 0, -1), (2, 3, 4))
 
@@ -204,6 +211,10 @@ class TestShape:
 
     def test_roll_negative(self):
         gradcheck(lambda a: ops.roll(a, -1, axis=0), (4, 3))
+
+    def test_roll_sequence_shifts(self):
+        gradcheck(lambda a: ops.roll(a, [1, 2], axis=[1, 2]), (2, 3, 4))
+        gradcheck(lambda a: ops.roll(a, (1, -2), axis=(0, 2)), (2, 3, 4))
 
     def test_broadcast_to(self):
         gradcheck(lambda a: ops.broadcast_to(a, (5, 3, 4)), (3, 4))
