@@ -6,11 +6,14 @@ Usage::
     python -m repro.cli check src --format json        # machine-readable
     python -m repro.cli check src --write-baseline     # grandfather findings
     python -m repro.cli check src --prune-baseline     # drop stale entries
-    python -m repro.cli check src --select RPR001,RPR003
+    python -m repro.cli check src --select RPR001,RPR103
+    python -m repro.cli check src --graph callgraph.dot
     python -m repro.cli check --list-rules
 
 Exit codes: 0 — clean (only suppressed/baselined findings); 1 — new
-findings; 2 — usage, parse or baseline-format errors.
+findings; 2 — usage, parse or baseline-format errors.  The JSON report
+also carries the call-graph stats (when RPR103/RPR104 ran) and the
+RPR105 seed-provenance table.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
                              "exist, rewrite the file, and exit 0")
     parser.add_argument("--select", default=None, metavar="RULES",
                         help="comma-separated rule ids to run (default: all)")
+    parser.add_argument("--graph", default=None, metavar="FILE",
+                        help="write the call graph as Graphviz dot to FILE ('-' for stdout)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule pack and exit")
     parser.add_argument("--verbose", action="store_true",
@@ -70,10 +75,19 @@ def run_check(args) -> int:
             return 0
         baseline = Baseline() if (args.no_baseline or args.write_baseline) \
             else load_baseline(args.baseline)
-        result = check_paths(args.paths, select=select, baseline=baseline)
+        result = check_paths(args.paths, select=select, baseline=baseline,
+                             graph=args.graph is not None)
     except (FileNotFoundError, KeyError, ValueError) as exc:
         print(f"repro check: error: {exc}", file=sys.stderr)
         return 2
+
+    if args.graph is not None:
+        dot = result.graph.to_dot()
+        if args.graph == "-":
+            sys.stdout.write(dot)
+        else:
+            with open(args.graph, "w", encoding="utf-8") as fh:
+                fh.write(dot)
 
     if args.write_baseline:
         new_baseline = Baseline.from_findings(
@@ -87,12 +101,12 @@ def run_check(args) -> int:
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
     else:
-        for finding in sorted(result.findings, key=lambda f: f.sort_key()):
+        for finding in result.findings:
             print(finding.render())
         if args.verbose:
             for label, bucket in (("baselined", result.baselined),
                                   ("suppressed", result.suppressed)):
-                for finding in sorted(bucket, key=lambda f: f.sort_key()):
+                for finding in bucket:
                     print(f"[{label}] {finding.render()}")
         for error in result.errors:
             print(f"error: {error}", file=sys.stderr)

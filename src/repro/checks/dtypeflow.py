@@ -34,8 +34,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from ..checks.findings import Finding
-from .project import FunctionInfo, Project, _dotted
+from .findings import Finding
+from .project import FunctionInfo, Project
+from .rules._util import dotted_name
 
 __all__ = ["DtypeShapeAnalysis", "Abstract"]
 
@@ -289,7 +290,7 @@ class DtypeShapeAnalysis:
         if isinstance(target, ast.Name):
             env[target.id] = value
         elif isinstance(target, ast.Attribute):
-            name = _dotted(target)
+            name = dotted_name(target)
             if name and name.startswith("self."):
                 env[name] = value
         elif isinstance(target, (ast.Tuple, ast.List)):
@@ -300,7 +301,7 @@ class DtypeShapeAnalysis:
         if isinstance(node, ast.Name):
             return env.get(node.id, TOP)
         if isinstance(node, ast.Attribute):
-            name = _dotted(node)
+            name = dotted_name(node)
             if name and name in env:
                 return env[name]
         return TOP
@@ -314,7 +315,7 @@ class DtypeShapeAnalysis:
                 return Abstract(WEAK)
             return TOP
         if isinstance(node, ast.Attribute):
-            name = _dotted(node)
+            name = dotted_name(node)
             if name and name in env:
                 return env[name]
             if isinstance(node.value, ast.AST) and node.attr in ("T", "real", "imag"):
@@ -387,7 +388,7 @@ class DtypeShapeAnalysis:
             return None
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return _DTYPE_NAMES.get(node.value)
-        name = _dotted(node)
+        name = dotted_name(node)
         if name:
             return _DTYPE_NAMES.get(name.split(".")[-1])
         return None
@@ -410,7 +411,7 @@ class DtypeShapeAnalysis:
                 if not isinstance(a, ast.Starred)]
         kwargs = {kw.arg: self._eval(fn, kw.value, env, depth)
                   for kw in node.keywords if kw.arg}
-        name = _dotted(node.func) or ""
+        name = dotted_name(node.func) or ""
         tail = name.split(".")[-1]
         cls = self.project.class_of(fn)
         qual = self.project.canonical(self.project.resolve_call(fn.module, node.func, cls))

@@ -1,74 +1,34 @@
-"""The static-analysis engine: walk, parse, run rules, filter, report.
+"""The static-analysis engine: load, run rules, filter, report.
 
-Pipeline per file: read → parse AST → classify zone → run every selected
-rule → drop findings silenced by ``# repro: ignore[...]`` comments →
-match the remainder against the committed baseline.  Whatever survives
-is a *new* finding and fails the run.
+One pass per run: :meth:`Project.load` walks and parses every file once.
+Each selected per-file rule runs over each file's
+:class:`~repro.checks.project.ModuleInfo`.  The whole-program analyses
+then run over the same project: RPR101/RPR102 (dtype and shape flow),
+RPR103/RPR104 (races, the only ones that need the call graph) and
+RPR105 (seed provenance).  Every finding goes through one filter: drop
+it when a ``# repro: ignore[...]`` comment silences it, else match it
+against the committed baseline.  Whatever survives is a *new* finding
+and fails the run.
 """
 
 from __future__ import annotations
 
-import ast
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 from .baseline import Baseline
+from .callgraph import build_callgraph
+from .dtypeflow import DtypeShapeAnalysis
 from .findings import CheckResult, Finding
-from .registry import (
-    COMPILE_ZONE,
-    HOT_ZONE,
-    OTHER_ZONE,
-    SOLVER_ZONE,
-    TEST_ZONE,
-    FileContext,
-    all_rules,
-)
-from .suppress import parse_suppressions
+from .project import Project
+from .races import RaceAnalysis
+from .registry import all_rules
+from .seeds import SeedTaintAnalysis
 
-__all__ = ["check_paths", "classify_zone", "iter_python_files"]
+__all__ = ["check_paths"]
 
-_HOT_PARTS = {"nn", "serve", "tensor"}
-_SOLVER_PARTS = {"ns", "ns3d", "lbm"}
-_SKIP_DIRS = {"__pycache__", ".git", "_cache", "results", ".pytest_cache"}
-
-
-def classify_zone(relpath: str) -> str:
-    """Map a posix-style path onto the rule zones (hot/solver/test/other)."""
-    parts = PurePosixPath(relpath).parts
-    name = parts[-1] if parts else ""
-    if "tests" in parts or name.startswith("test_") or name == "conftest.py":
-        return TEST_ZONE
-    if "compile" in parts:
-        return COMPILE_ZONE
-    if _HOT_PARTS & set(parts):
-        return HOT_ZONE
-    if _SOLVER_PARTS & set(parts):
-        return SOLVER_ZONE
-    return OTHER_ZONE
-
-
-def iter_python_files(paths) -> list[Path]:
-    """Expand files/directories into a sorted, de-duplicated .py file list."""
-    out: set[Path] = set()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            for candidate in path.rglob("*.py"):
-                if not (_SKIP_DIRS & set(candidate.parts)):
-                    out.add(candidate)
-        elif path.is_file():
-            out.add(path)
-        else:
-            raise FileNotFoundError(f"no such file or directory: {raw}")
-    return sorted(out)
-
-
-def _display_path(path: Path, root: Path) -> str:
-    """Stable posix path for findings/baseline keys (relative when possible)."""
-    try:
-        rel = path.resolve().relative_to(root.resolve())
-    except ValueError:
-        rel = path
-    return rel.as_posix()
+_DTYPE_RULES = {"RPR101", "RPR102"}
+_RACE_RULES = {"RPR103", "RPR104"}
+_SEED_RULES = {"RPR105"}
 
 
 def check_paths(
@@ -76,14 +36,16 @@ def check_paths(
     select: list[str] | None = None,
     baseline: Baseline | None = None,
     root: str | Path | None = None,
+    graph: bool = False,
 ) -> CheckResult:
     """Run the rule pack over ``paths`` and classify every finding.
 
     ``select`` restricts to a subset of rule ids; ``baseline`` absorbs
     grandfathered findings; ``root`` anchors the relative paths used in
-    output and baseline keys (default: the current directory).
+    output and baseline keys (default: the current directory); ``graph``
+    builds the call graph into the result even when no selected rule
+    needs it.
     """
-    root = Path(root) if root is not None else Path.cwd()
     specs = all_rules()
     if select:
         wanted = set(select)
@@ -91,29 +53,37 @@ def check_paths(
         if unknown:
             raise KeyError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
         specs = [s for s in specs if s.id in wanted]
+    selected = {s.id for s in specs}
+    file_rules = [s.check for s in specs if s.check is not None]
 
-    result = CheckResult()
+    project = Project.load(paths, root=root)
+    result = CheckResult(n_files=len(project.files) + len(project.errors),
+                         errors=list(project.errors))
+    raw: list[Finding] = []
+    for module in project.files.values():
+        for check in file_rules:
+            raw.extend(check(module))
+
+    if selected & _DTYPE_RULES:
+        raw.extend(DtypeShapeAnalysis(project).run())
+    if graph or selected & _RACE_RULES:
+        result.graph = build_callgraph(project)
+    if selected & _RACE_RULES:
+        raw.extend(RaceAnalysis(project, result.graph).run())
+    if selected & _SEED_RULES:
+        seeds = SeedTaintAnalysis(project)
+        raw.extend(seeds.run())
+        result.provenance = seeds.provenance_rows()
+
     match_baseline = (baseline or Baseline()).make_matcher()
-    for path in iter_python_files(paths):
-        result.n_files += 1
-        display = _display_path(path, root)
-        try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(path))
-        except (SyntaxError, UnicodeDecodeError) as exc:
-            result.errors.append(f"{display}: {exc}")
+    for finding in sorted(raw, key=Finding.sort_key):
+        if finding.rule not in selected:
             continue
-        lines = source.splitlines()
-        suppressions = parse_suppressions(lines)
-        ctx = FileContext(path=display, tree=tree, lines=lines, zone=classify_zone(display))
-        raw: list[Finding] = []
-        for spec in specs:
-            raw.extend(spec.check(ctx))
-        for finding in sorted(raw, key=Finding.sort_key):
-            if suppressions.is_suppressed(finding.rule, finding.line):
-                result.suppressed.append(finding)
-            elif match_baseline(finding):
-                result.baselined.append(finding)
-            else:
-                result.findings.append(finding)
+        if project.files[finding.path].suppressions.is_suppressed(
+                finding.rule, finding.line):
+            result.suppressed.append(finding)
+        elif match_baseline(finding):
+            result.baselined.append(finding)
+        else:
+            result.findings.append(finding)
     return result

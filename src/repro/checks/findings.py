@@ -9,6 +9,10 @@ grandfathered findings survive unrelated edits that shift line numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .callgraph import CallGraph
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,10 @@ class CheckResult:
     suppressed: list[Finding] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
     n_files: int = 0
+    # Built only when a selected rule (RPR103/RPR104) or the caller needs it.
+    graph: CallGraph | None = None
+    # RPR105's sink table: one row per artifact write, seeded or not.
+    provenance: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -70,4 +78,6 @@ class CheckResult:
             },
             "findings": [f.to_dict() for f in sorted(self.findings, key=Finding.sort_key)],
             "errors": list(self.errors),
+            "callgraph": self.graph.stats() if self.graph is not None else {},
+            "provenance": list(self.provenance),
         }

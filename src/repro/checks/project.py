@@ -1,12 +1,19 @@
-"""Whole-program symbol table: modules, imports, classes, functions.
+"""Source loading and the whole-program symbol table.
 
-The per-file rules in :mod:`repro.checks` stop at module boundaries; the
-analyses in this package need to follow a value (a dtype, a lock, an RNG
-stream) *across* them.  :class:`Project` is the shared substrate: it
-parses every module under one or more package roots, derives dotted
-module names from ``__init__.py`` chains, resolves import bindings
-(including relative imports and package re-exports), and indexes every
-class and function by fully-qualified name.
+:meth:`Project.load` is the engine's one walk and one parse: it reads
+every ``.py`` file under the given paths, classifies its zone, and keeps
+one :class:`ModuleInfo` per file (``Project.files``, keyed by display
+path).  Each ``ModuleInfo`` is the :class:`~repro.checks.registry.FileContext`
+the per-file rules see.
+
+The whole-program analyses need to follow a value (a dtype, a lock, an
+RNG stream) *across* module boundaries, so the project also derives
+dotted module names from ``__init__.py`` chains, resolves import
+bindings (including relative imports and package re-exports), and
+indexes every class and function by fully-qualified name.  Two files
+outside any package with the same stem (``benchmarks/common.py`` and
+``perfbench/common.py``) share one dotted name; both stay in ``files``,
+and name resolution sees the later one.
 
 Name resolution is static and intentionally modest: dotted attribute
 chains through import bindings, local definitions, ``self`` attributes
@@ -19,16 +26,60 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
-from ..checks.engine import classify_zone, iter_python_files
-from ..checks.suppress import Suppressions, parse_suppressions
+from .registry import (
+    COMPILE_ZONE,
+    HOT_ZONE,
+    OTHER_ZONE,
+    SOLVER_ZONE,
+    TEST_ZONE,
+    FileContext,
+)
+from .rules._util import LOCK_FACTORIES, dotted_name
+from .suppress import Suppressions, parse_suppressions
 
-__all__ = ["Project", "ModuleInfo", "ClassInfo", "FunctionInfo"]
+__all__ = [
+    "Project", "ModuleInfo", "ClassInfo", "FunctionInfo",
+    "classify_zone", "iter_python_files",
+]
 
-_LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
+_HOT_PARTS = {"nn", "serve", "tensor"}
+_SOLVER_PARTS = {"ns", "ns3d", "lbm"}
+_SKIP_DIRS = {"__pycache__", ".git", "_cache", "results", ".pytest_cache"}
 _EVENT_FACTORIES = {"Event", "Semaphore", "BoundedSemaphore", "Barrier", "Queue"}
 _LOCAL_FACTORIES = {"local"}
+
+
+def classify_zone(relpath: str) -> str:
+    """Map a posix-style path onto the rule zones (hot/solver/test/other)."""
+    parts = PurePosixPath(relpath).parts
+    name = parts[-1] if parts else ""
+    if "tests" in parts or name.startswith("test_") or name == "conftest.py":
+        return TEST_ZONE
+    if "compile" in parts:
+        return COMPILE_ZONE
+    if _HOT_PARTS & set(parts):
+        return HOT_ZONE
+    if _SOLVER_PARTS & set(parts):
+        return SOLVER_ZONE
+    return OTHER_ZONE
+
+
+def iter_python_files(paths) -> list[Path]:
+    """Expand files/directories into a sorted, de-duplicated .py file list."""
+    out: set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            for candidate in path.rglob("*.py"):
+                if not (_SKIP_DIRS & set(candidate.parts)):
+                    out.add(candidate)
+        elif path.is_file():
+            out.add(path)
+        else:
+            raise FileNotFoundError(f"no such file or directory: {raw}")
+    return sorted(out)
 
 
 @dataclass
@@ -79,21 +130,17 @@ class ClassInfo:
     def base_names(self) -> list[str]:
         out = []
         for base in self.node.bases:
-            name = _dotted(base)
+            name = dotted_name(base)
             if name:
                 out.append(name)
         return out
 
 
 @dataclass
-class ModuleInfo:
+class ModuleInfo(FileContext):
     """One parsed source file with its import-binding table."""
 
     name: str                 # dotted module name, e.g. repro.serve.registry
-    path: str                 # display path (posix, relative to root)
-    tree: ast.Module
-    lines: list[str]
-    zone: str
     imports: dict[str, str] = field(default_factory=dict)   # local name -> qualname
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)  # module-level only
@@ -106,23 +153,6 @@ class ModuleInfo:
         if self._suppressions is None:
             self._suppressions = parse_suppressions(self.lines)
         return self._suppressions
-
-    def line_at(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` attribute/name chain as a dotted string, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _module_name_for(path: Path) -> str | None:
@@ -142,15 +172,19 @@ class Project:
     """Parsed modules + global symbol index + canonical name resolution."""
 
     def __init__(self) -> None:
+        self.files: dict[str, ModuleInfo] = {}             # display path -> module
         self.modules: dict[str, ModuleInfo] = {}           # dotted name -> module
         self.functions: dict[str, FunctionInfo] = {}       # qualname -> function
         self.classes: dict[str, ClassInfo] = {}            # qualname -> class
-        self.errors: list[str] = []
+        self.errors: list[str] = []                        # unparseable files
 
     # -- construction --------------------------------------------------
     @staticmethod
     def load(paths, root: str | Path | None = None) -> "Project":
-        """Parse every ``.py`` under ``paths`` into one project."""
+        """Parse every ``.py`` under ``paths`` into one project.
+
+        A file that does not parse is reported in ``errors`` and skipped.
+        """
         root = Path(root) if root is not None else Path.cwd()
         project = Project()
         for path in iter_python_files(paths):
@@ -171,6 +205,7 @@ class Project:
                 name=mod_name, path=rel, tree=tree,
                 lines=source.splitlines(), zone=classify_zone(rel),
             )
+            project.files[rel] = info
             project.modules[mod_name] = info
         for info in project.modules.values():
             project._index_module(info)
@@ -239,7 +274,7 @@ class Project:
         for node in ast.walk(cls.node):
             if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
                 continue
-            name = _dotted(node.value.func)
+            name = dotted_name(node.value.func)
             if not name:
                 continue
             tail = name.split(".")[-1]
@@ -247,7 +282,7 @@ class Project:
                 if (isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
                         and target.value.id == "self"):
-                    if tail in _LOCK_FACTORIES:
+                    if tail in LOCK_FACTORIES:
                         cls.lock_attrs.add(target.attr)
                     elif tail in _EVENT_FACTORIES:
                         cls.event_attrs.add(target.attr)
@@ -301,7 +336,7 @@ class Project:
         ``ClassName(...)`` (returned as the class qualname; callers map
         it to ``__init__``).
         """
-        name = _dotted(func)
+        name = dotted_name(func)
         if name is None:
             return None
         if cls is not None and name.startswith("self."):
@@ -343,7 +378,7 @@ class Project:
             return None
         if isinstance(node, ast.Subscript):
             return None
-        name = _dotted(node)
+        name = dotted_name(node)
         if name is None:
             return None
         qual = self.resolve_name(module, name)

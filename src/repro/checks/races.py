@@ -38,22 +38,12 @@ from __future__ import annotations
 
 import ast
 
-from ..checks.findings import Finding
+from .findings import Finding
 from .callgraph import CallGraph, _lock_context
-from .project import ClassInfo, FunctionInfo, Project, _dotted
+from .project import ClassInfo, FunctionInfo, Project
+from .rules._util import EXEMPT_METHODS, MUTATORS, dotted_name
 
 __all__ = ["RaceAnalysis"]
-
-# Mutating container/deque/dict methods — calling one through an
-# attribute is a write to that attribute's object.
-_MUTATORS = {
-    "append", "appendleft", "extend", "insert", "add", "update", "pop",
-    "popleft", "popitem", "remove", "discard", "clear", "move_to_end",
-    "setdefault",
-}
-
-_EXEMPT_METHODS = {"__init__", "__new__", "__post_init__", "__set_name__",
-                   "__init_subclass__"}
 
 
 def _walk_attr_access(fn: FunctionInfo, cls: ClassInfo | None):
@@ -79,7 +69,7 @@ def _walk_attr_access(fn: FunctionInfo, cls: ClassInfo | None):
                        else [node.target])
             for target in targets:
                 if isinstance(target, ast.Attribute):
-                    base = _dotted(target.value)
+                    base = dotted_name(target.value)
                     if base:
                         yield base, target.attr, target, locked, True
                 else:
@@ -92,16 +82,16 @@ def _walk_attr_access(fn: FunctionInfo, cls: ClassInfo | None):
                 pass
             return
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATORS
+                and node.func.attr in MUTATORS
                 and isinstance(node.func.value, ast.Attribute)):
-            base = _dotted(node.func.value.value)
+            base = dotted_name(node.func.value.value)
             if base:
                 yield base, node.func.value.attr, node, locked, True
             for child in list(node.args) + [kw.value for kw in node.keywords]:
                 yield from visit(child, locked)
             return
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            base = _dotted(node.value)
+            base = dotted_name(node.value)
             if base:
                 yield base, node.attr, node, locked, False
             yield from visit(node.value, locked)
@@ -198,7 +188,7 @@ class RaceAnalysis:
         # Pass 2: findings.
         for fn in self.project.iter_functions():
             cls = self.project.class_of(fn)
-            if fn.name in _EXEMPT_METHODS:
+            if fn.name in EXEMPT_METHODS:
                 continue
             fn_dominated = fn.qual in dominated
             torn_reads: dict[str, ast.AST] = {}

@@ -1,9 +1,14 @@
-"""Rule registry: rules self-register via the :func:`rule` decorator.
+"""Rule registry: every rule id the engine knows, per-file and whole-program.
 
-A rule is a callable ``check(ctx: FileContext) -> Iterable[Finding]``.
-The engine runs every selected rule over every parsed file; rules are
-pure functions of the file context, so they compose and test in
-isolation.
+A **per-file** rule self-registers via the :func:`rule` decorator as a
+callable ``check(ctx: FileContext) -> Iterable[Finding]``.  The engine
+runs every selected one over every parsed file; rules are pure
+functions of the file context, so they compose and test in isolation.
+
+A **whole-program** rule (RPR101–RPR105) has no per-file check: the
+engine runs the analysis that owns it once over the loaded project
+(see :mod:`repro.checks.engine`).  It is listed here so ``--list-rules``,
+``--select`` and the baseline treat both kinds alike.
 """
 
 from __future__ import annotations
@@ -57,10 +62,19 @@ class RuleSpec:
     id: str
     name: str
     description: str
-    check: Callable[[FileContext], Iterable[Finding]]
+    # None for a whole-program rule, which the engine runs over the project.
+    check: Callable[[FileContext], Iterable[Finding]] | None = None
 
 
-_RULES: dict[str, RuleSpec] = {}
+_RULES: dict[str, RuleSpec] = {
+    spec.id: spec for spec in (
+        RuleSpec("RPR101", "dtype-widening", "cross-module implicit f32→f64/c128 widening"),
+        RuleSpec("RPR102", "shape-contract", "statically provable shape mismatches"),
+        RuleSpec("RPR103", "unlocked-write", "shared-state writes outside the owning lock"),
+        RuleSpec("RPR104", "torn-read", "multi-attribute reads without the guarding lock"),
+        RuleSpec("RPR105", "seed-provenance", "artifact writes fed by unseeded RNG streams"),
+    )
+}
 
 
 def rule(rule_id: str, name: str, description: str):

@@ -1,4 +1,8 @@
-"""The shipped rule pack.  Importing this package registers every rule.
+"""The per-file rules.  Importing this package registers every one.
+
+The whole-program rules RPR101–RPR105 live beside the engine
+(:mod:`repro.checks.dtypeflow`, :mod:`~repro.checks.races`,
+:mod:`~repro.checks.seeds`) and are listed in :mod:`repro.checks.registry`.
 
 | id     | name               | hazard                                           |
 |--------|--------------------|--------------------------------------------------|

@@ -1,10 +1,27 @@
-"""Small AST helpers shared by the rule implementations."""
+"""Small AST helpers and name sets shared by the per-file rules and the
+whole-program analyses."""
 
 from __future__ import annotations
 
 import ast
 
-__all__ = ["dotted_name", "is_self_attr", "self_attr_base", "names_from_import"]
+__all__ = [
+    "LOCK_FACTORIES", "MUTATORS", "EXEMPT_METHODS",
+    "dotted_name", "is_self_attr", "self_attr_base", "names_from_import",
+]
+
+# ``self.<attr> = threading.<factory>(...)`` makes ``<attr>`` a lock.
+LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
+# Mutating container/deque/dict methods: calling one through an
+# attribute is a write to that attribute's object.
+MUTATORS = {
+    "append", "appendleft", "extend", "insert", "add", "update", "pop",
+    "popleft", "popitem", "remove", "discard", "clear", "move_to_end",
+    "setdefault",
+}
+# Construction-time methods: writes there happen before any sharing.
+EXEMPT_METHODS = {"__init__", "__new__", "__post_init__", "__set_name__",
+                  "__init_subclass__"}
 
 
 def dotted_name(node: ast.AST) -> str | None:

@@ -26,15 +26,14 @@ from typing import Iterator
 
 from ..findings import Finding
 from ..registry import FileContext, rule
-from ._util import dotted_name, is_self_attr, self_attr_base
-
-_LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
-_MUTATORS = {
-    "append", "appendleft", "extend", "insert", "add", "update",
-    "pop", "popleft", "popitem", "remove", "discard", "clear",
-    "move_to_end", "setdefault",
-}
-_EXEMPT_METHODS = {"__init__", "__new__", "__post_init__", "__set_name__"}
+from ._util import (
+    EXEMPT_METHODS,
+    LOCK_FACTORIES,
+    MUTATORS,
+    dotted_name,
+    is_self_attr,
+    self_attr_base,
+)
 
 
 def _lock_attrs(cls: ast.ClassDef) -> set[str]:
@@ -43,7 +42,7 @@ def _lock_attrs(cls: ast.ClassDef) -> set[str]:
     for node in ast.walk(cls):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             name = dotted_name(node.value.func)
-            if name and name.split(".")[-1] in _LOCK_FACTORIES:
+            if name and name.split(".")[-1] in LOCK_FACTORIES:
                 for target in node.targets:
                     if is_self_attr(target):
                         locks.add(target.attr)
@@ -85,7 +84,7 @@ def _walk_method(node: ast.AST, locks: set[str], locked: bool, out: list[tuple[a
             func = node.value.func
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr in _MUTATORS
+                and func.attr in MUTATORS
                 and self_attr_base(func.value) is not None
             ):
                 out.append((node, f"{self_attr_base(func.value)}.{func.attr}()"))
@@ -107,7 +106,7 @@ def check_thread_safety(ctx: FileContext) -> Iterator[Finding]:
             continue
         locks = _lock_attrs(cls)
         for method in _methods(cls):
-            if method.name in _EXEMPT_METHODS:
+            if method.name in EXEMPT_METHODS:
                 continue
             writes: list[tuple[ast.AST, str]] = []
             for stmt in method.body:

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import ast
 
-from ..checks.findings import Finding
-from .project import FunctionInfo, Project, _dotted
+from .findings import Finding
+from .project import FunctionInfo, Project
+from .rules._util import dotted_name
 
 __all__ = ["SeedTaintAnalysis"]
 
@@ -82,7 +83,7 @@ class SeedTaintAnalysis:
 
     # -- classification ------------------------------------------------
     def _is_np_random(self, fn: FunctionInfo, node: ast.expr) -> bool:
-        name = _dotted(node) or ""
+        name = dotted_name(node) or ""
         if ".random." in f".{name}." or name.startswith("random."):
             head = name.split(".")[0]
             target = fn.module.imports.get(head, head)
@@ -207,7 +208,7 @@ class SeedTaintAnalysis:
         if isinstance(target, ast.Name):
             env[target.id] = taint
         elif isinstance(target, ast.Attribute):
-            name = _dotted(target)
+            name = dotted_name(target)
             if name and name.startswith("self."):
                 env[name] = taint
         elif isinstance(target, (ast.Tuple, ast.List)):
@@ -218,7 +219,7 @@ class SeedTaintAnalysis:
         if isinstance(node, ast.Name):
             return env.get(node.id, (CLEAN, None))
         if isinstance(node, ast.Attribute):
-            name = _dotted(node)
+            name = dotted_name(node)
             if name and name in env:
                 return env[name]
         return (CLEAN, None)
@@ -271,7 +272,7 @@ class SeedTaintAnalysis:
             if taint[0] > worst[0]:
                 worst = taint
 
-        name = _dotted(call.func) or ""
+        name = dotted_name(call.func) or ""
         tail = name.split(".")[-1]
         cls = self.project.class_of(fn)
         qual = self.project.canonical(self.project.resolve_call(fn.module, call.func, cls))

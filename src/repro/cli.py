@@ -7,7 +7,7 @@ and observability::
     python -m repro.cli train    --data data.npz --epochs 30 --out model.npz
     python -m repro.cli rollout  --data data.npz --model model.npz --mode hybrid
     python -m repro.cli analyze  --data data.npz
-    python -m repro.cli analyze  src --format json
+    python -m repro.cli check    src --format json
     python -m repro.cli inspect  model.npz
     python -m repro.cli serve    --model tiny=model.npz --port 8764
     python -m repro.cli fleet    up --model tiny=model.npz --replicas 3
@@ -88,17 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--reynolds", type=float, default=None,
                    help="PDE viscosity via Re (default: shard metadata or 800)")
 
-    a = sub.add_parser(
-        "analyze",
-        help="whole-program static analysis (or dataset statistics with --data)",
-    )
-    a.add_argument("--data", default=None,
-                   help="dataset .npz: print statistics/Lyapunov estimate "
-                        "instead of running static analysis")
+    a = sub.add_parser("analyze", help="print dataset statistics (and a Lyapunov estimate)")
+    a.add_argument("--data", required=True, help="dataset .npz to summarise")
     a.add_argument("--lyapunov", action="store_true", help="also estimate the Lyapunov time")
-    from repro.analyze.cli import add_analyze_arguments
-
-    add_analyze_arguments(a)
 
     i = sub.add_parser("inspect", help="print a checkpoint's config/version/normalizer")
     i.add_argument("checkpoint", help="path to a model .npz saved by repro train")
@@ -175,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_compile_arguments(co)
 
-    c = sub.add_parser("check", help="run the repro static-analysis rule pack")
+    c = sub.add_parser("check", help="run the repro static analyzer (RPR001-RPR011, RPR101-RPR105)")
     from repro.checks.cli import add_check_arguments
 
     add_check_arguments(c)
@@ -324,11 +316,6 @@ def _cmd_rollout(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.data is None:
-        from repro.analyze.cli import run_analyze
-
-        return run_analyze(args)
-
     from repro.analysis import correlation_coefficient, l2_separation, std_evolution
     from repro.data import load_samples
 

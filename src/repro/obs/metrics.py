@@ -13,8 +13,8 @@ updates:
 A :class:`MetricsRegistry` names instruments (optionally with labels),
 renders Prometheus text exposition for the serve ``/metrics`` endpoint
 and JSON snapshots for ``/stats``.  The accumulating :class:`Timer` and
-:func:`timed` helpers that used to live in ``repro.utils.timing`` are
-kept here so the whole timing surface has one home.
+:func:`timed` helpers live here too, so the whole timing surface has
+one home.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ class WindowedSummary:
 
     Keeps lifetime ``count``/``total``/``max`` plus a bounded window of
     the most recent observations from which percentiles are computed —
-    the serving ``/stats`` endpoint reports p50/p95 from here.  This is
-    the class previously published as ``repro.utils.timing.LatencyStats``.
+    the serving ``/stats`` endpoint reports p50/p95 from here.  It is
+    also exported as ``LatencyStats``.
     """
 
     def __init__(self, window: int = 2048) -> None:

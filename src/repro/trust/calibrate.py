@@ -7,7 +7,7 @@ for the other.  ``repro trust`` therefore replays a shard through the
 deployed checkpoint, collects the full diagnostic + ensemble-spread
 distribution over every sliding window, and proposes thresholds at a
 quantile of that distribution times a safety margin — the ``s = 0.5``
-calibration points of the serving lattice (DESIGN.md §14).
+calibration points of the serving lattice (DESIGN.md §13).
 
 Per-window evaluation is a module-level task driven by
 :func:`repro.parallel.parallel_map`, so calibration fans out across the

@@ -9,7 +9,7 @@ compiled plans — bit-identical arithmetic) to *finished predictions*, so
 any deployed model can be served with a guaranteed-solenoidal output
 without retraining.
 
-Trade-off (documented in DESIGN.md §14): projection removes the
+Trade-off (documented in DESIGN.md §13): projection removes the
 compressible component of the error but silently discards the
 divergence diagnostic's signal — a projected prediction always reports
 ``rms_divergence ≈ 0``.  The serving path therefore diagnoses *before*

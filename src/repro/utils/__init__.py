@@ -1,8 +1,7 @@
-"""Shared utilities: RNG fan-out, timing, crash-safe I/O.
+"""Shared utilities: RNG fan-out and crash-safe, manifested I/O.
 
-The old ``repro.utils.parallel`` serial-fallback map moved to
-:mod:`repro.parallel` (``parallel_map`` / ``default_workers``), which
-adds crash recovery, seeded worker streams and shared-memory tensors.
+Timing lives in :mod:`repro.obs` (``Timer``, ``timed``, ``LatencyStats``)
+and process fan-out in :mod:`repro.parallel`.
 """
 
 from .artifacts import (
@@ -19,11 +18,9 @@ from .artifacts import (
     write_manifest,
 )
 from .rng import as_generator, spawn_rngs
-from .timing import LatencyStats, Timer, timed
 
 __all__ = [
     "spawn_rngs", "as_generator",
-    "Timer", "timed", "LatencyStats",
     "CheckpointError", "atomic_write_npz", "atomic_write_bytes",
     "atomic_write_json", "guarded_npz_load",
     "sha256_file", "stable_hash", "manifest_path",

@@ -1,14 +1,17 @@
-"""Tests of the repro.analyze whole-program analysis layer.
+"""Tests of the whole-program rules (RPR101–RPR105) of ``repro check``.
 
 Fixture *packages* (with real ``__init__.py`` chains, so dotted module
 names resolve) seed one violation per analysis next to a matching
 negative; the suppression/baseline round-trips pin the grandfathering
-semantics; the meta-tests at the bottom assert the repo itself is clean
-and that the CLI wires through — the same gate CI runs.
+semantics; the CLI cases drive ``repro check`` with both kinds of rule,
+and a guard pins a firing fixture to every rule ``--list-rules`` prints.
+``TestRepoIsClean`` gates src/ on the whole-program rules alone; the
+full-pack gate lives in ``tests/test_checks.py``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -17,11 +20,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze import analyze_paths, build_callgraph, Project
-from repro.analyze.cli import main as analyze_main
-from repro.checks import Baseline, load_baseline
+from repro.checks import (
+    Baseline,
+    Project,
+    build_callgraph,
+    check_paths,
+    load_baseline,
+    write_baseline,
+)
+from repro.checks.cli import main as check_main
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from .test_checks import FIXTURES, REPO_ROOT, _write_fixture
+
+WHOLE_PROGRAM_RULES = ["RPR101", "RPR102", "RPR103", "RPR104", "RPR105"]
 
 
 def _write_pkg(root: Path, files: dict[str, str]) -> Path:
@@ -211,12 +222,12 @@ def fixture_root(tmp_path):
 
 
 def _run(root, **kwargs):
-    return analyze_paths([root / "src"], root=root, **kwargs)
+    return check_paths([root / "src"], root=root, **kwargs)
 
 
-def _rules_at(report, path_fragment):
+def _rules_at(result, path_fragment):
     return sorted(
-        (f.rule, f.line) for f in report.result.findings
+        (f.rule, f.line) for f in result.findings
         if path_fragment in f.path
     )
 
@@ -247,6 +258,35 @@ class TestProject:
         project = Project.load([pkg / "src"], root=pkg)
         assert len(project.errors) == 1
         assert "repro.fine" in project.modules
+
+    def test_each_file_is_parsed_once(self, fixture_root, monkeypatch):
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(str(filename))
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        result = check_paths([fixture_root / "src"], root=fixture_root)
+        files = [name for name in parsed if name.endswith(".py")]
+        assert len(files) == len(set(files)) == result.n_files
+
+    def test_same_stem_scripts_are_both_checked(self, tmp_path):
+        """Two non-package files named ``common.py`` share a dotted name,
+        but each is loaded, counted and run through the per-file rules."""
+        relpath, source = FIXTURES["RPR003"]
+        for folder in ("benchmarks", "perfbench"):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "common.py").write_text(source)
+        project = Project.load([tmp_path / "benchmarks", tmp_path / "perfbench"],
+                               root=tmp_path)
+        assert sorted(project.files) == ["benchmarks/common.py", "perfbench/common.py"]
+        result = check_paths([tmp_path / "benchmarks", tmp_path / "perfbench"],
+                             select=["RPR003"], root=tmp_path)
+        assert result.n_files == 2
+        assert sorted(f.path for f in result.findings) == [
+            "benchmarks/common.py", "perfbench/common.py"]
 
 
 class TestCallGraph:
@@ -373,16 +413,16 @@ class TestSuppressionAndBaseline:
             ),
         })
         report = _run(pkg, select=["RPR105"])
-        assert len(report.result.findings) == 1
-        assert len(report.result.suppressed) == 1
+        assert len(report.findings) == 1
+        assert len(report.suppressed) == 1
 
     def test_baseline_round_trip(self, fixture_root):
         first = _run(fixture_root)
-        assert first.result.findings
-        baseline = Baseline.from_findings(first.result.findings)
+        assert first.findings
+        baseline = Baseline.from_findings(first.findings)
         second = _run(fixture_root, baseline=baseline)
-        assert second.result.findings == []
-        assert len(second.result.baselined) == len(first.result.findings)
+        assert second.findings == []
+        assert len(second.baselined) == len(first.findings)
 
     def test_unknown_select_raises(self, fixture_root):
         with pytest.raises(KeyError):
@@ -391,8 +431,8 @@ class TestSuppressionAndBaseline:
 
 class TestCli:
     def test_exit_codes_and_json(self, fixture_root, capsys):
-        rc = analyze_main([str(fixture_root / "src"), "--format", "json",
-                           "--no-baseline"])
+        rc = check_main([str(fixture_root / "src"), "--format", "json",
+                         "--no-baseline"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
@@ -402,38 +442,68 @@ class TestCli:
         assert any(row["status"] == "unseeded" for row in payload["provenance"])
 
     def test_select_narrows(self, fixture_root, capsys):
-        rc = analyze_main([str(fixture_root / "src"), "--format", "json",
-                           "--no-baseline", "--select", "RPR102"])
+        rc = check_main([str(fixture_root / "src"), "--format", "json",
+                         "--no-baseline", "--select", "RPR102"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert {f["rule"] for f in payload["findings"]} == {"RPR102"}
+        assert payload["callgraph"] == {} and payload["provenance"] == []
+
+    def test_select_mixes_per_file_and_whole_program(self, fixture_root, capsys):
+        rc = check_main([str(fixture_root / "src"), "--format", "json",
+                         "--no-baseline", "--select", "RPR001,RPR103"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert {f["rule"] for f in payload["findings"]} == {"RPR001", "RPR103"}
+        assert payload["callgraph"]["concurrent"] > 0
 
     def test_graph_export(self, fixture_root, tmp_path, capsys):
         dot_path = tmp_path / "callgraph.dot"
-        analyze_main([str(fixture_root / "src"), "--no-baseline",
-                      "--graph", str(dot_path)])
+        check_main([str(fixture_root / "src"), "--no-baseline",
+                    "--graph", str(dot_path)])
         capsys.readouterr()
         dot = dot_path.read_text()
         assert dot.startswith("digraph callgraph {")
         assert "Pool._run" in dot
 
     def test_write_baseline_then_clean(self, fixture_root, tmp_path, capsys):
-        baseline_path = tmp_path / "analyze-baseline.json"
-        rc = analyze_main([str(fixture_root / "src"),
-                           "--baseline", str(baseline_path), "--write-baseline"])
+        baseline_path = tmp_path / "checks-baseline.json"
+        rc = check_main([str(fixture_root / "src"),
+                         "--baseline", str(baseline_path), "--write-baseline"])
         assert rc == 0
-        rc = analyze_main([str(fixture_root / "src"),
-                           "--baseline", str(baseline_path)])
+        assert any(key.startswith("RPR103::") for key in
+                   json.loads(baseline_path.read_text())["findings"])
+        rc = check_main([str(fixture_root / "src"),
+                         "--baseline", str(baseline_path)])
         capsys.readouterr()
         assert rc == 0
 
+    def test_prune_baseline_drops_stale_whole_program_entry(
+            self, fixture_root, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(fixture_root)
+        baseline_path = tmp_path / "checks-baseline.json"
+        live = check_paths(["src"]).findings
+        [torn] = [f for f in live if f.rule == "RPR104"]
+        write_baseline(baseline_path, Baseline.from_findings(live))
+
+        module = fixture_root / "src/repro/obs/torn.py"
+        module.write_text(module.read_text().replace(
+            "    def snapshot(self):\n        return (self.count, self.total)\n",
+            "    def snapshot(self):\n        return self.locked_snapshot()\n"))
+        assert check_main(["src", "--baseline", str(baseline_path),
+                           "--prune-baseline"]) == 0
+        assert "pruned 1 stale entry" in capsys.readouterr().out
+        kept = json.loads(baseline_path.read_text())["findings"]
+        assert torn.baseline_key() not in kept
+        assert sum(kept.values()) == len(live) - 1
+
     def test_bad_rule_is_usage_error(self, fixture_root, capsys):
-        rc = analyze_main([str(fixture_root / "src"), "--select", "NOPE"])
+        rc = check_main([str(fixture_root / "src"), "--select", "NOPE"])
         capsys.readouterr()
         assert rc == 2
 
     def test_list_rules(self, capsys):
-        assert analyze_main(["--list-rules"]) == 0
+        assert check_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in ("RPR101", "RPR102", "RPR103", "RPR104", "RPR105"):
             assert rule in out
@@ -441,22 +511,20 @@ class TestCli:
 
 class TestRepoIsClean:
     def test_src_runs_clean(self):
-        """The CI gate: zero unbaselined whole-program findings across src/."""
-        baseline_path = REPO_ROOT / "analyze-baseline.json"
-        baseline = load_baseline(baseline_path) if baseline_path.is_file() \
-            else Baseline()
-        report = analyze_paths([REPO_ROOT / "src"], baseline=baseline,
-                               root=REPO_ROOT)
-        assert report.result.errors == []
-        assert report.result.findings == [], "new findings:\n" + "\n".join(
-            f.render() for f in report.result.findings
+        """Zero unbaselined whole-program findings across src/."""
+        baseline = load_baseline(REPO_ROOT / "checks-baseline.json")
+        result = check_paths([REPO_ROOT / "src"], select=WHOLE_PROGRAM_RULES,
+                             baseline=baseline, root=REPO_ROOT)
+        assert result.errors == []
+        assert result.findings == [], "new findings:\n" + "\n".join(
+            f.render() for f in result.findings
         )
 
     def test_cli_subcommand_wires_through(self):
-        """`repro analyze` exits 0 on the repo from the command line."""
+        """`repro check --select RPR101..RPR105` exits 0 on the repo."""
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "analyze", "src",
-             "--format", "json"],
+            [sys.executable, "-m", "repro.cli", "check", "src", "--format", "json",
+             "--select", ",".join(WHOLE_PROGRAM_RULES)],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
@@ -466,3 +534,16 @@ class TestRepoIsClean:
         payload = json.loads(proc.stdout)
         assert payload["ok"] is True
         assert payload["callgraph"]["concurrent"] > 0
+
+
+def test_every_listed_rule_has_a_firing_fixture(fixture_root, tmp_path, capsys):
+    """A rule without a positive fixture here or in test_checks fails this."""
+    assert check_main(["--list-rules"]) == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    fired = {f.rule for f in _run(fixture_root).findings}
+    for rule in FIXTURES:
+        root = tmp_path / rule
+        _write_fixture(root, rule)
+        fired |= {f.rule for f in check_paths([root / "src"], select=[rule],
+                                              root=root).findings}
+    assert listed <= fired, f"rules with no firing fixture: {sorted(listed - fired)}"

@@ -2,8 +2,10 @@
 
 Fixture files with seeded violations exercise every rule in the pack;
 the suppression and baseline round-trips pin the grandfathering
-semantics; the meta-test at the bottom asserts the repo itself is clean
-under its committed baseline (the same gate CI runs).
+semantics; the meta-tests at the bottom assert the repo itself is clean
+under its committed baseline for every rule, per-file and whole-program
+(the same gate CI runs).  The whole-program rules have their own fixture
+packages in ``tests/test_analyze.py``.
 """
 
 from __future__ import annotations
@@ -368,7 +370,7 @@ class TestCLI:
 
 class TestRepoIsClean:
     def test_src_runs_clean_under_committed_baseline(self):
-        """The CI gate: zero unbaselined findings across src/."""
+        """The CI gate: zero unbaselined findings across src/, RPR001–RPR105."""
         baseline = load_baseline(REPO_ROOT / "checks-baseline.json")
         result = check_paths([REPO_ROOT / "src"], baseline=baseline, root=REPO_ROOT)
         assert result.errors == []
@@ -399,3 +401,4 @@ class TestRepoIsClean:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["ok"] is True and payload["counts"]["findings"] == 0
+        assert payload["callgraph"]["concurrent"] > 0

@@ -20,6 +20,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explode"])
 
+    def test_analyze_requires_data(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["analyze", "src"])
+        assert exc.value.code == 2
+        assert "--data" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def shard(tmp_path_factory):
